@@ -48,6 +48,7 @@ from .sprin import (
     dilated_knn,
     farthest_point_sampling,
     feature_propagation,
+    knn_table,
     relative_invariants,
     set_abstraction,
     sparse_correlate,

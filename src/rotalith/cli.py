@@ -8,7 +8,6 @@ reports wall times and is the one exception).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -215,12 +214,6 @@ def _cmd_knn(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rotalith", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rotalith {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("ROTALITH_THREADS", "1")),
-        help="worker cap (computations are vectorized and deterministic regardless)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("voxelize", help="sample a cloud into a spherical voxel grid")

@@ -9,6 +9,8 @@ Every malformed input maps to a structured error, never a crash.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -46,6 +48,8 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
                 values = [float(t) for t in tokens]
             except ValueError as exc:
                 raise CloudFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                raise CloudFormatError(f"{path}:{lineno}: non-finite field")
             points.append(values[:3])
             if arity == 4:
                 labels.append(int(round(values[3])))
@@ -93,6 +97,7 @@ def read_archive(path) -> dict[str, np.ndarray]:
     path = Path(path)
     out: dict[str, np.ndarray] = {}
     with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 4, path, "magic") != MAGIC:
             raise ArchiveFormatError(f"{path}: bad magic, not a tensor archive")
         version, count = struct.unpack("<II", _read_exact(fh, 8, path, "header"))
@@ -105,8 +110,13 @@ def read_archive(path) -> dict[str, np.ndarray]:
                 raise ArchiveFormatError(f"{path}: duplicate tensor name {name!r}")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path, "dims"))
-            n_items = int(np.prod(dims, dtype=np.int64)) if rank else 1
-            payload = _read_exact(fh, 4 * n_items, path, f"payload of {name!r}")
+            n_bytes = 4 * math.prod(dims)  # Python ints: a product of u64 dims must not wrap
+            left = size - fh.tell()
+            if n_bytes > left:
+                raise ArchiveFormatError(
+                    f"{path}: truncated: {name!r} declares {n_bytes} payload bytes, {left} remain"
+                )
+            payload = _read_exact(fh, n_bytes, path, f"payload of {name!r}")
             arr = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(dims)
             out[name] = arr
     return out

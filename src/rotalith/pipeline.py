@@ -26,7 +26,7 @@ from .sprin import (
     SprinLayerCfg,
     correlate_at,
     farthest_point_sampling,
-    sparse_correlate,
+    knn_table,
 )
 from .voxelize import SamplingConfig, normalize_cloud, voxelize
 from . import harmonics as sh
@@ -237,55 +237,80 @@ def prin_forward(
     return per_point, global_feat
 
 
+class _SparseLayer(NamedTuple):
+    key: str  # weight-key prefix
+    k: int
+    d: int
+    centers: int  # point-set level the layer writes features at
+    source: int  # point-set level it reads neighbors and features from
+    fps: int | None  # FPS sample size when this layer creates the centers' level
+
+
+def _sparse_plan(cfg: SprinConfig) -> tuple[list[_SparseLayer], list[_SparseLayer]]:
+    """Encoder and decoder layers in run order.
+
+    Level 0 is the input cloud; each FPS downsampling adds the next level.
+    """
+    enc, enc_levels, lvl = [], [], 0
+    for si, (m, layers) in enumerate(cfg.encoder):
+        for li, (k, d) in enumerate(layers):
+            src, fps = lvl, (m if li == 0 else None)
+            lvl += fps is not None
+            enc.append(_SparseLayer(f"enc{si}_{li}", k, d, lvl, src, fps))
+        enc_levels.append(lvl)
+    dec, up_levels, lvl = [], enc_levels[-2::-1], enc_levels[-1]
+    for si, layers in enumerate(cfg.decoder):
+        for li, (k, d) in enumerate(layers):
+            src = lvl
+            if li == 0:
+                lvl = up_levels[si]
+            dec.append(_SparseLayer(f"dec{si}_{li}", k, d, lvl, src, None))
+    return enc, dec
+
+
 def sprin_forward(
     points: np.ndarray, weights: dict[str, np.ndarray], cfg: SprinConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sparse path: encoder with set abstraction, pooled head, and a
     propagation decoder back to full resolution.
 
+    Each (centers, source) pair of point-set levels gets one neighbor table,
+    built for the largest k any layer uses on that pair.
+
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
     points = np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed)
-    levels: list[tuple[np.ndarray, np.ndarray | None]] = []
-    cur_pts, cur_feats = points, None
-    for si, (m, layers) in enumerate(cfg.encoder):
-        for li, (k, d) in enumerate(layers):
-            filt = _mlp_from(weights, f"enc{si}_{li}")
-            lcfg = SprinLayerCfg(k=k, d=d, aggregate=cfg.aggregate)
-            if li == 0 and m is not None:
-                idx = farthest_point_sampling(cur_pts, m, _canonical_fps_start(cur_pts))
-                new_pts = cur_pts[idx]
-                cur_feats = correlate_at(
-                    cur_pts, cur_feats, new_pts, filt, lcfg, rng, cur_pts.mean(axis=0)
-                )
-                cur_pts = new_pts
-            else:
-                cur_feats = sparse_correlate(
-                    cur_pts, cur_feats, np.arange(len(cur_pts)), filt, lcfg, rng
-                )
-        levels.append((cur_pts, cur_feats))
+    enc, dec = _sparse_plan(cfg)
+    k_max: dict[tuple[int, int], int] = {}
+    for layer in enc + dec:
+        pair = (layer.centers, layer.source)
+        k_max[pair] = max(k_max.get(pair, 0), layer.k)
+    level_pts = [points]
+    tables: dict[tuple[int, int], np.ndarray] = {}
 
-    pooled = np.concatenate([cur_feats.max(axis=0), cur_feats.mean(axis=0)])
+    def correlate(layer: _SparseLayer, feats: np.ndarray | None) -> np.ndarray:
+        src, ctr = level_pts[layer.source], level_pts[layer.centers]
+        pair = (layer.centers, layer.source)
+        if pair not in tables:
+            tables[pair] = knn_table(src, ctr, k_max[pair])
+        lcfg = SprinLayerCfg(k=layer.k, d=layer.d, aggregate=cfg.aggregate)
+        filt = _mlp_from(weights, layer.key)
+        return correlate_at(src, feats, ctr, tables[pair], filt, lcfg, rng, src.mean(axis=0))
+
+    feats = None
+    for layer in enc:
+        if layer.fps is not None:
+            src = level_pts[layer.source]
+            level_pts.append(src[farthest_point_sampling(src, layer.fps, _canonical_fps_start(src))])
+        feats = correlate(layer, feats)
+
+    pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
     global_feat = _head_apply(weights, "cls", pooled)
 
-    up_targets = list(reversed(levels[:-1]))
-    dn_pts, dn_feats = levels[-1]
-    for si, layers in enumerate(cfg.decoder):
-        up_pts = up_targets[si][0]
-        for li, (k, d) in enumerate(layers):
-            filt = _mlp_from(weights, f"dec{si}_{li}")
-            lcfg = SprinLayerCfg(k=k, d=d, aggregate=cfg.aggregate)
-            if li == 0:
-                dn_feats = correlate_at(
-                    dn_pts, dn_feats, up_pts, filt, lcfg, rng, dn_pts.mean(axis=0)
-                )
-                dn_pts = up_pts
-            else:
-                dn_feats = sparse_correlate(
-                    dn_pts, dn_feats, np.arange(len(dn_pts)), filt, lcfg, rng
-                )
-    per_point = _head_apply(weights, "seg", dn_feats)
+    for layer in dec:
+        feats = correlate(layer, feats)
+    per_point = _head_apply(weights, "seg", feats)
     return per_point, global_feat
 
 

@@ -26,6 +26,9 @@ INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
 # below this side length a triangle angle is undefined; see relative_invariants
 _DEGENERATE_SIDE = 1e-12
 
+# byte budget of one chunk's centers x N x 3 float64 difference tensor in knn_table
+_KNN_CHUNK_BYTES = 8 << 20
+
 
 @dataclass
 class SprinLayerCfg:
@@ -128,10 +131,50 @@ def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.n
     return np.stack([beta_rel, ni, s1, s2, s3, a1, a2, a3], axis=-1)
 
 
-def _knn_from_distances(d2_row: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries; ties broken by lower index."""
-    order = np.argsort(d2_row, kind="stable")
-    return order[:k]
+def _stable_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(d2, axis=1, kind="stable")[:, :k]`` via a partial selection.
+
+    ``argpartition`` finds the k smallest of each row; sorting those
+    candidates by (distance, index) gives the stable order.  The candidate
+    set is only unique when exactly k entries are <= the k-th smallest
+    distance.  Rows where a tie straddles the k-th neighbor (lattices,
+    duplicate points) or the k-th distance is not finite take the full
+    stable sort instead.
+    """
+    if k == d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")
+    cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(d2, cand[:, k - 1 :], axis=1)
+    exact = np.count_nonzero(d2 <= kth, axis=1) != k
+    cand.sort(axis=1)
+    out = np.take_along_axis(
+        cand, np.argsort(np.take_along_axis(d2, cand, axis=1), axis=1, kind="stable"), axis=1
+    )
+    if exact.any():
+        out[exact] = np.argsort(d2[exact], axis=1, kind="stable")[:, :k]
+    return out
+
+
+def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
+    """Indices into ``source`` of the k nearest neighbors of each center.
+
+    Returns ``(len(centers), k)`` int64, each row sorted by (squared
+    distance, index).  The order is stable, so the first k' columns are the
+    k'-nearest neighbors for any k' <= k and one table serves every layer
+    that correlates the same pair of point sets.  Centers are processed in
+    chunks whose ``chunk x N x 3`` difference tensor stays within
+    ``_KNN_CHUNK_BYTES`` (at least one row).
+    """
+    n = source.shape[0]
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n} (the source point count), got k={k}")
+    table = np.empty((centers.shape[0], k), dtype=np.int64)
+    rows = max(1, _KNN_CHUNK_BYTES // (n * 3 * 8))
+    for lo in range(0, centers.shape[0], rows):
+        diff = centers[lo : lo + rows, None, :] - source[None, :, :]
+        d2 = np.einsum("cnk,cnk->cn", diff, diff)
+        table[lo : lo + rows] = _stable_smallest(d2, k)
+    return table
 
 
 def _dilated_subset(knn_idx: np.ndarray, k: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,15 +192,10 @@ def dilated_knn(points: np.ndarray, center_idx: int, k: int, d: int, rng) -> np.
     (distance, index); the subset is deterministic given the generator state.
     """
     points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if k > n:
-        raise ValueError(f"k={k} exceeds point count {n}")
     if d < 1:
         raise ValueError(f"dilation rate must be >= 1, got {d}")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    diff = points - points[center_idx]
-    d2 = np.einsum("nk,nk->n", diff, diff)
-    return _dilated_subset(_knn_from_distances(d2, k), k, d, rng)
+    return _dilated_subset(knn_table(points, points[center_idx][None], k)[0], k, d, rng)
 
 
 def farthest_point_sampling(points: np.ndarray, m: int, start_idx: int = 0) -> np.ndarray:
@@ -194,24 +232,25 @@ def correlate_at(
     source_points: np.ndarray,
     source_feats: np.ndarray | None,
     center_pos: np.ndarray,
+    neighbors: np.ndarray,
     filt: MlpFilter,
     cfg: SprinLayerCfg,
     rng: np.random.Generator,
     centroid: np.ndarray,
 ) -> np.ndarray:
-    """Shared core: correlate arbitrary center positions against a source cloud."""
-    n = source_points.shape[0]
-    if cfg.k > n:
-        raise ValueError(f"k={cfg.k} exceeds source point count {n}")
-    diff = center_pos[:, None, :] - source_points[None, :, :]
-    d2 = np.einsum("cnk,cnk->cn", diff, diff)
-    order = np.argsort(d2, axis=1, kind="stable")[:, : cfg.k]
-    if cfg.d == 1:
-        nbr = order
-    else:
-        nbr = np.stack(
-            [_dilated_subset(order[i], cfg.k, cfg.d, rng) for i in range(order.shape[0])]
-        )
+    """Shared core: correlate center positions against a source cloud.
+
+    ``neighbors`` is a :func:`knn_table` of the centers into the source with
+    at least ``cfg.k`` columns; its first ``cfg.k`` columns are used.
+    """
+    expected = 8 + (0 if source_feats is None else source_feats.shape[1])
+    if filt.in_width != expected:
+        raise ValueError(f"filter expects input width {filt.in_width}, features give {expected}")
+    if neighbors.shape[1] < cfg.k:
+        raise ValueError(f"k={cfg.k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
+    nbr = neighbors[:, : cfg.k]
+    if cfg.d != 1:
+        nbr = np.stack([_dilated_subset(row, cfg.k, cfg.d, rng) for row in nbr])
     x = _pair_features(
         source_points[nbr],
         center_pos,
@@ -241,11 +280,11 @@ def sparse_correlate(
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=np.int64)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    expected = 8 + (0 if in_feats is None else in_feats.shape[1])
-    if filt.in_width != expected:
-        raise ValueError(f"filter expects input width {filt.in_width}, features give {expected}")
-    centroid = points.mean(axis=0)
-    return correlate_at(points, in_feats, points[centers], filt, cfg, rng, centroid)
+    center_pos = points[centers]
+    return correlate_at(
+        points, in_feats, center_pos, knn_table(points, center_pos, cfg.k), filt, cfg, rng,
+        points.mean(axis=0),
+    )
 
 
 def set_abstraction(
@@ -275,5 +314,7 @@ def feature_propagation(
     up_points = np.asarray(up_points, dtype=float)
     down_points = np.asarray(down_points, dtype=float)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    centroid = down_points.mean(axis=0)
-    return correlate_at(down_points, down_feats, up_points, filt, cfg, rng, centroid)
+    return correlate_at(
+        down_points, down_feats, up_points, knn_table(down_points, up_points, cfg.k), filt, cfg,
+        rng, down_points.mean(axis=0),
+    )

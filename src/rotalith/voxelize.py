@@ -69,6 +69,8 @@ def normalize_cloud(points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise InputFormatError(f"expected a non-empty (N, 3) cloud, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise InputFormatError("cloud has non-finite coordinates")
     centered = points - points.mean(axis=0)
     scale = np.linalg.norm(centered, axis=1).max()
     if scale == 0.0:

@@ -1,5 +1,7 @@
 """Command surface: exit codes, CSV shapes, determinism, file round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,41 @@ def test_missing_file_exits_2(tmp_path, capsys):
         capsys, "voxelize", "--in", str(tmp_path / "absent.xyz"), "--out", str(tmp_path / "o")
     )
     assert code == 2
+
+
+@pytest.fixture()
+def nan_cloud_file(tmp_path):
+    path = tmp_path / "nan.xyz"
+    write_cloud(path, blob_cloud(300, 3))
+    lines = path.read_text().splitlines()
+    lines[5] = "nan 0 0"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("features", "--pipeline", "sprin", "--out", "f.rtlh"),
+        ("voxelize", "--out", "g.rtlh"),
+        ("knn", "--center", "5", "--k", "4"),
+    ],
+    ids=["features-sprin", "voxelize", "knn"],
+)
+def test_non_finite_cloud_exits_2(nan_cloud_file, tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a.endswith(".rtlh") else a for a in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--in", str(nan_cloud_file))
+    assert code == 2
+    assert stdout == ""
+    assert ":6: non-finite" in err
+
+
+def test_match_huge_declared_archive_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.rtlh"  # 34 bytes declaring one 2^20 x 2^20 float32 tensor
+    path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"a") + struct.pack("<B2Q", 2, 1 << 20, 1 << 20))
+    code, stdout, err = run_cli(capsys, "match", "--a", str(path), "--b", str(path))
+    assert code == 2
+    assert "truncated" in err
 
 
 def test_voxelize_writes_archive(cloud_file, tmp_path, capsys):

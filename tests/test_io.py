@@ -1,5 +1,7 @@
 """Cloud files and tensor archives: round trips and structured failure modes."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,10 @@ def test_cloud_comments_and_blank_lines(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["", "# only comments\n", "1 2\n", "1 2 3 4 5\n", "1 2 x\n", "1 2 3\n1 2 3 4\n"],
+    [
+        "", "# only comments\n", "1 2\n", "1 2 3 4 5\n", "1 2 x\n", "1 2 3\n1 2 3 4\n",
+        "0 0 0\nnan 0 0\n", "0 -inf 0\n", "0 0 0 inf\n",
+    ],
 )
 def test_cloud_malformed_inputs(tmp_path, content):
     path = tmp_path / "bad.xyz"
@@ -100,6 +105,23 @@ def test_archive_truncation(tmp_path):
     write_archive(path, {"a": np.arange(10.0)})
     data = path.read_bytes()
     path.write_bytes(data[:-8])
+    with pytest.raises(ArchiveFormatError, match="truncated"):
+        read_archive(path)
+
+
+def _huge_archive(path):
+    """34 bytes that declare one 2^20 x 2^20 float32 tensor (4 TiB of payload)."""
+    path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"a") + struct.pack("<B2Q", 2, 1 << 20, 1 << 20))
+    return path
+
+
+def test_archive_declared_payload_beyond_file(tmp_path):
+    path = _huge_archive(tmp_path / "huge.rtlh")
+    assert path.stat().st_size == 34
+    with pytest.raises(ArchiveFormatError, match="truncated"):
+        read_archive(path)
+    # dims whose product wraps a signed 64-bit integer to a small number
+    path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"a") + struct.pack("<B2Q", 2, 1 << 32, 1 << 32))
     with pytest.raises(ArchiveFormatError, match="truncated"):
         read_archive(path)
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rotalith.pipeline as pipeline
+import rotalith.sprin as sprin
 from rotalith.geometry import random_rotation
 from rotalith.sprin import (
     MlpFilter,
@@ -10,6 +12,7 @@ from rotalith.sprin import (
     dilated_knn,
     farthest_point_sampling,
     feature_propagation,
+    knn_table,
     relative_invariants,
     set_abstraction,
     sparse_correlate,
@@ -120,6 +123,75 @@ def test_dilated_knn_errors():
     pts = _cloud(2, 5)
     with pytest.raises(ValueError):
         dilated_knn(pts, 0, 6, 1, np.random.default_rng(0))
+
+
+def _d2(source, centers):
+    diff = centers[:, None, :] - source[None, :, :]
+    return np.einsum("cnk,cnk->cn", diff, diff)
+
+
+def _knn_oracle(source, centers, k):
+    """Full stable argsort of the squared distances, the order knn_table must match."""
+    return np.argsort(_d2(source, centers), axis=1, kind="stable")[:, :k]
+
+
+def _lattice(n=6):
+    g = np.arange(float(n)) / (n - 1) - 0.5
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _straddles(source, centers, k):
+    """Rows whose k-th and (k+1)-th smallest distances are equal."""
+    d2 = np.sort(_d2(source, centers), axis=1)
+    return int(np.count_nonzero(d2[:, k - 1] == d2[:, k]))
+
+
+@pytest.mark.parametrize(
+    "source,centers,k",
+    [
+        (_cloud(20, 300), _cloud(21, 70), 17),  # generic
+        (_lattice(), _lattice(), 10),  # 6 face neighbors + 12 edge neighbors straddle k
+        (np.concatenate([_cloud(22, 40)] * 3), _cloud(22, 40), 5),  # every point three times
+        (_cloud(23, 50), _cloud(24, 9), 50),  # k == N
+    ],
+    ids=["generic", "lattice", "duplicates", "k-equals-n"],
+)
+def test_knn_table_matches_stable_argsort(source, centers, k):
+    got = knn_table(source, centers, k)
+    assert got.dtype == np.int64 and got.shape == (len(centers), k)
+    assert np.array_equal(got, _knn_oracle(source, centers, k))
+
+
+def test_knn_table_tie_cases_tie_at_the_kth_neighbor():
+    # the exact path is only exercised if some row really ties at the k-th neighbor
+    assert _straddles(_lattice(), _lattice(), 10) > 0
+    assert _straddles(np.concatenate([_cloud(22, 40)] * 3), _cloud(22, 40), 5) > 0
+
+
+@pytest.mark.parametrize("budget", [1, 300 * 24 * 7])  # one row per chunk; 7 rows per chunk
+def test_knn_table_chunking(monkeypatch, budget):
+    monkeypatch.setattr(sprin, "_KNN_CHUNK_BYTES", budget)
+    source, centers = _cloud(25, 300), _cloud(26, 50)  # 50 is not a multiple of 7
+    assert np.array_equal(knn_table(source, centers, 12), _knn_oracle(source, centers, 12))
+
+
+def test_knn_table_errors():
+    pts = _cloud(27, 5)
+    for k in (0, 6):
+        with pytest.raises(ValueError):
+            knn_table(pts, pts, k)
+
+
+def test_sprin_forward_same_with_kernel_and_oracle(monkeypatch):
+    # default config: tables shared across layers with different k, and d > 1 layers
+    cfg = pipeline.SprinConfig()
+    pts = pipeline.blob_cloud(300, 5)
+    weights = pipeline.init_weights(cfg, 2)
+    fast = pipeline.sprin_forward(pts, weights, cfg, seed=3)
+    monkeypatch.setattr(pipeline, "knn_table", _knn_oracle)
+    ref = pipeline.sprin_forward(pts, weights, cfg, seed=3)
+    for a, b in zip(fast, ref):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_fps_basics():

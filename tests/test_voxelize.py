@@ -105,6 +105,10 @@ def test_normalize_cloud():
     assert np.isclose(np.linalg.norm(out, axis=1).max(), 1.0)
     with pytest.raises(InputFormatError):
         normalize_cloud(np.zeros((5, 3)))
+    for bad in (np.nan, np.inf):
+        pts[6, 0] = bad
+        with pytest.raises(InputFormatError, match="non-finite"):
+            normalize_cloud(pts)
 
 
 def test_alpha_window_wraps_at_seam():
