@@ -24,7 +24,9 @@ from .geometry import (
     tmap,
     tmap_inv,
 )
-from .voxelize import SamplingConfig, SphericalGrid, grid_shift_alpha, normalize_cloud, voxelize
+# the voxelize() function is not re-exported: it would shadow the
+# rotalith.voxelize submodule; import it from there
+from .voxelize import SamplingConfig, SphericalGrid, grid_shift_alpha, normalize_cloud
 from .so3 import (
     S2Signal,
     SO3Signal,
@@ -40,8 +42,9 @@ from .so3 import (
     shells_to_channels,
     svc_bruteforce,
     svc_spectral,
+    svc_sphere,
 )
-from .resample import trilinear_sample
+from .resample import bilinear_sample, trilinear_sample
 from .sprin import (
     MlpFilter,
     SprinLayerCfg,

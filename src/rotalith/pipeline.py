@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
-from .resample import trilinear_sample
-from .so3 import SphericalFilter, shells_to_channels, svc_spectral
+from .resample import bilinear_sample
+from .so3 import S2Signal, SphericalFilter, svc_sphere
 from .sprin import (
     MlpFilter,
     SprinLayerCfg,
@@ -207,13 +207,20 @@ def prin_forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense path: voxelize, correlate, re-sample at the input points.
 
+    Correlation outputs are constant along the radial axis, so activations
+    are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
+    over its radial bins once (or, with ``shells_as_channels``, its bins
+    become channels in :func:`~rotalith.so3.shells_to_channels` order), and
+    per-point features are read by bilinear interpolation on the sphere.
+
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
     """
     points = np.asarray(points, dtype=float)
-    grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
-    if cfg.shells_as_channels:
-        grid = shells_to_channels(grid)
+    B = cfg.bandwidth
+    grid = voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)).data
+    n = 2 * B
+    act = S2Signal(B, grid.reshape(n, n, -1) if cfg.shells_as_channels else grid.mean(axis=2))
     chans = cfg.layer_channels
     n_layers = len(chans) - 1
     for li in range(n_layers):
@@ -226,14 +233,12 @@ def prin_forward(
                 f"{key} has shape {coeffs.shape}, config wants "
                 f"{(sh.n_coeffs(cfg.degree), chans[li + 1], chans[li])}"
             )
-        grid = svc_spectral(grid, SphericalFilter(cfg.bandwidth, coeffs=coeffs))
+        act = svc_sphere(act, SphericalFilter(B, coeffs=coeffs))
         if li != n_layers - 1:
-            np.maximum(grid.data, 0.0, out=grid.data)
-    alpha, beta, h = cart_to_spherical(points)
-    voxel_feats = trilinear_sample(grid, alpha, beta, h)
-    per_point = _head_apply(weights, "pp", voxel_feats)
-    pooled = grid.data.max(axis=(0, 1, 2))
-    global_feat = _head_apply(weights, "gl", pooled)
+            np.maximum(act.data, 0.0, out=act.data)
+    alpha, beta, _ = cart_to_spherical(points)
+    per_point = _head_apply(weights, "pp", bilinear_sample(act.data, B, alpha, beta))
+    global_feat = _head_apply(weights, "gl", act.data.max(axis=(0, 1)))
     return per_point, global_feat
 
 

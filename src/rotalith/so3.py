@@ -19,6 +19,10 @@ functions on the sphere evaluated at the rotated north pole
   a per-degree product: ``out_lm = g_lm * psi_l0 / sqrt(4*pi*(2l+1))`` where
   ``g`` is the gamma-averaged signal.
 
+:func:`svc_sphere` is the one spectral kernel: it maps a gamma-averaged
+``(2B, 2B, C_in)`` sphere signal to the ``(2B, 2B, C_out)`` output, so layers
+can be chained without ever forming the constant radial axis.
+:func:`svc_spectral` wraps it with the ball-grid contract.
 :func:`svc_bruteforce` never forms coefficients; it sums the integrand over
 the full Euler grid and serves as the independent oracle for
 :func:`svc_spectral`.
@@ -33,6 +37,7 @@ import numpy as np
 
 from . import harmonics as sh
 from .geometry import euler_to_matrix
+from .resample import bilinear_sample
 from .voxelize import SphericalGrid
 
 _BRUTE_DIR_CHUNK = 32
@@ -150,8 +155,12 @@ def adjoint_inverse(signal: SO3Signal) -> SphericalGrid:
     return SphericalGrid(signal.bandwidth, signal.data.copy())
 
 
-def gamma_average(signal: SO3Signal) -> S2Signal:
-    """Average over the gamma axis (the inner coset integral, mass 1)."""
+def gamma_average(signal: SO3Signal | SphericalGrid) -> S2Signal:
+    """Average over the gamma axis (the inner coset integral, mass 1).
+
+    A ball grid is accepted as is: :func:`adjoint` preserves indices, so its
+    radial axis is the gamma axis.
+    """
     return S2Signal(signal.bandwidth, signal.data.mean(axis=2))
 
 
@@ -166,39 +175,13 @@ def sh_inverse(coeffs: np.ndarray, B: int) -> S2Signal:
     return S2Signal(B, sh.sh_synthesis(coeffs, B))
 
 
-def _bilinear_s2(grid: np.ndarray, B: int, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation on the (alpha, beta) grid; alpha wraps, beta clamps."""
-    n = 2 * B
-    fa = np.asarray(alpha, dtype=float) / (np.pi / B)
-    fb = np.asarray(beta, dtype=float) * n / np.pi - 0.5
-    ia0 = np.floor(fa).astype(np.int64)
-    jb0 = np.floor(fb).astype(np.int64)
-    ta = fa - ia0
-    tb = fb - jb0
-    ia1 = np.mod(ia0 + 1, n)
-    ia0 = np.mod(ia0, n)
-    jb1 = np.clip(jb0 + 1, 0, n - 1)
-    jb0 = np.clip(jb0, 0, n - 1)
-    w00 = (1.0 - ta) * (1.0 - tb)
-    w01 = (1.0 - ta) * tb
-    w10 = ta * (1.0 - tb)
-    w11 = ta * tb
-    expand = (...,) + (None,) * (grid.ndim - 2)
-    return (
-        grid[ia0, jb0] * w00[expand]
-        + grid[ia0, jb1] * w01[expand]
-        + grid[ia1, jb0] * w10[expand]
-        + grid[ia1, jb1] * w11[expand]
-    )
-
-
 def _eval_filter_dirs(psi: SphericalFilter, dirs: np.ndarray) -> np.ndarray:
     """Filter values at unit directions ``(N, 3)`` -> ``(N, C_out, C_in)``."""
     if psi.is_spectral:
         return sh.sh_eval_dirs(psi.coeffs, dirs)
     beta = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
     alpha = np.arctan2(dirs[..., 1], dirs[..., 0])
-    return _bilinear_s2(psi.grid, psi.bandwidth, beta, alpha)
+    return bilinear_sample(psi.grid, psi.bandwidth, alpha, beta)
 
 
 def filter_eval(psi: SphericalFilter, R: np.ndarray) -> np.ndarray:
@@ -290,9 +273,7 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
         vals = _eval_filter_dirs(psi, dirs.reshape(-1, 3))
         vals = vals.reshape(hi - lo, Rs.shape[0], c_out, c_in)
         out_dir[lo:hi] = np.einsum("prij,rj->pi", vals, gw)
-    out = out_dir.reshape(n, n, c_out)
-    data = np.broadcast_to(out[:, :, None, :], (n, n, n, c_out)).copy()
-    return SphericalGrid(B, data)
+    return _radial_broadcast(out_dir.reshape(n, n, c_out))
 
 
 def _spectral_multipliers(L: int) -> np.ndarray:
@@ -300,16 +281,21 @@ def _spectral_multipliers(L: int) -> np.ndarray:
     return 1.0 / np.sqrt(4.0 * np.pi * (2 * l + 1))
 
 
-def _svc_output_coeffs(f: SphericalGrid, psi: SphericalFilter) -> np.ndarray:
-    B = f.bandwidth
+def _radial_broadcast(values: np.ndarray) -> SphericalGrid:
+    """Ball grid whose every radial bin holds the sphere signal ``(2B, 2B, C)``."""
+    n, _, c = values.shape
+    return SphericalGrid(n // 2, np.broadcast_to(values[:, :, None, :], (n, n, n, c)).copy())
+
+
+def _svc_output_coeffs(g: S2Signal, psi: SphericalFilter) -> np.ndarray:
+    B = g.bandwidth
     if psi.bandwidth != B:
         raise ValueError(f"bandwidth mismatch: signal B={B}, filter B={psi.bandwidth}")
     if not psi.is_spectral:
         raise ValueError("svc_spectral requires a spectrally stored filter (L < B)")
-    if psi.c_in != f.channels:
-        raise ValueError(f"channel mismatch: signal C={f.channels}, filter C_in={psi.c_in}")
+    if psi.c_in != g.channels:
+        raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={psi.c_in}")
     L = psi.degree
-    g = gamma_average(adjoint(f))
     g_hat = sh.sh_analysis(g.data, B, L)  # (ncoeff, C_in)
     zonal = np.stack(
         [psi.coeffs[sh.coeff_index(l, 0)] for l in range(L + 1)]
@@ -320,19 +306,24 @@ def _svc_output_coeffs(f: SphericalGrid, psi: SphericalFilter) -> np.ndarray:
     return np.einsum("ki,koi,k->ko", g_hat, zonal[l_of], mult)
 
 
+def svc_sphere(g: S2Signal, psi: SphericalFilter) -> S2Signal:
+    """Voxel correlation of a gamma-averaged signal, kept on the sphere.
+
+    ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input; the result is
+    the ``(2B, 2B, C_out)`` output that :func:`svc_spectral` repeats along
+    the radial axis.  Requires the filter in spectral form; non-zonal filter
+    components integrate out of the correlation and do not contribute.
+    """
+    return sh_inverse(_svc_output_coeffs(g, psi), g.bandwidth)
+
+
 def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
     """Voxel correlation through harmonic analysis and per-degree products.
 
-    Same contract as :func:`svc_bruteforce`; requires the filter in spectral
-    form.  Non-zonal filter components integrate out of the correlation and
-    do not contribute.
+    Same contract as :func:`svc_bruteforce`: gamma-averages ``f``, runs
+    :func:`svc_sphere` and broadcasts its output along the radial axis.
     """
-    B = f.bandwidth
-    out_hat = _svc_output_coeffs(f, psi)
-    out_grid = sh.sh_synthesis(out_hat, B)  # (2B, 2B, C_out)
-    n = 2 * B
-    data = np.broadcast_to(out_grid[:, :, None, :], (n, n, n, out_hat.shape[1])).copy()
-    return SphericalGrid(B, data)
+    return _radial_broadcast(svc_sphere(gamma_average(f), psi).data)
 
 
 def shells_to_channels(grid: SphericalGrid) -> SphericalGrid:
@@ -341,11 +332,8 @@ def shells_to_channels(grid: SphericalGrid) -> SphericalGrid:
     The result is radially constant with ``2B * C`` channels, so subsequent
     correlations keep the radial profile instead of averaging it away.
     """
-    B = grid.bandwidth
-    n = 2 * B
-    shells = grid.data.reshape(n, n, n * grid.channels)  # (alpha, beta, h*C)
-    data = np.broadcast_to(shells[:, :, None, :], (n, n, n, shells.shape[2])).copy()
-    return SphericalGrid(B, data)
+    n = 2 * grid.bandwidth
+    return _radial_broadcast(grid.data.reshape(n, n, n * grid.channels))  # (alpha, beta, h*C)
 
 
 def rotate_grid(f: SphericalGrid, Q: np.ndarray, L: int | None = None) -> SphericalGrid:
@@ -384,9 +372,8 @@ def equivariance_report(
     grid; deterministic.
     """
     B = f.bandwidth
-    out_hat_rot = _svc_output_coeffs(rotate_grid(f, Q), psi)
-    out_hat = _svc_output_coeffs(f, psi)
-    n = 2 * B
+    out_hat_rot = _svc_output_coeffs(gamma_average(rotate_grid(f, Q)), psi)
+    out_hat = _svc_output_coeffs(gamma_average(f), psi)
     ai = sh.alpha_nodes(B)
     bj = sh.beta_nodes(B)
     A, Bb = np.meshgrid(ai, bj, indexing="ij")

@@ -194,6 +194,8 @@ def dilated_knn(points: np.ndarray, center_idx: int, k: int, d: int, rng) -> np.
     points = np.asarray(points, dtype=float)
     if d < 1:
         raise ValueError(f"dilation rate must be >= 1, got {d}")
+    if not 0 <= center_idx < points.shape[0]:
+        raise ValueError(f"need 0 <= center < {points.shape[0]}, got center={center_idx}")
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     return _dilated_subset(knn_table(points, points[center_idx][None], k)[0], k, d, rng)
 
@@ -204,6 +206,8 @@ def farthest_point_sampling(points: np.ndarray, m: int, start_idx: int = 0) -> n
     n = points.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
+    if not 0 <= start_idx < n:
+        raise ValueError(f"need 0 <= start < {n}, got start={start_idx}")
     chosen = np.empty(m, dtype=np.int64)
     chosen[0] = start_idx
     diff = points - points[start_idx]

@@ -191,6 +191,46 @@ def test_fps_and_knn_output(cloud_file, capsys):
     assert len(stdout.split()) == 4  # ceil(8/2)
 
 
+@pytest.fixture()
+def cloud20_file(tmp_path):
+    path = tmp_path / "cloud20.xyz"
+    write_cloud(path, blob_cloud(20, 5))
+    return path
+
+
+@pytest.mark.parametrize("start", ["50", "-1"])
+def test_fps_start_out_of_range_exits_2(cloud20_file, capsys, start):
+    code, stdout, err = run_cli(capsys, "fps", "--in", str(cloud20_file), "--m", "3", "--start", start)
+    assert code == 2
+    assert stdout == ""
+    assert "start" in err
+
+
+@pytest.mark.parametrize("center", ["50", "-1"])
+def test_knn_center_out_of_range_exits_2(cloud20_file, capsys, center):
+    code, stdout, err = run_cli(capsys, "knn", "--in", str(cloud20_file), "--k", "4", "--center", center)
+    assert code == 2
+    assert stdout == ""
+    assert "center" in err
+
+
+def test_features_prin_non_finite_weights_exit_2(cloud_file, tmp_path, capsys):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import PrinConfig, init_weights
+
+    weights = init_weights(PrinConfig(bandwidth=4), 0)
+    weights["svc1"][0, 0, 0] = np.nan
+    wpath = tmp_path / "nan_w.rtlh"
+    write_archive(wpath, weights)
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", "prin", "--bandwidth", "4", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(tmp_path / "f.rtlh"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "non-finite" in err
+
+
 def test_bench_csv(capsys):
     code, stdout, _ = run_cli(
         capsys, "bench", "--op", "svc", "--bandwidth", "2", "--impl", "spectral", "--repeat", "2"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rotalith.errors import InputFormatError, NumericError
-from rotalith.geometry import random_rotation, rot_z
+from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
 from rotalith.pipeline import (
+    _head_apply,
     Descriptor,
     PrinConfig,
     SprinConfig,
@@ -22,6 +23,9 @@ from rotalith.pipeline import (
     toy_synth,
     train_head,
 )
+from rotalith.resample import trilinear_sample
+from rotalith.so3 import SphericalFilter, shells_to_channels, svc_spectral
+from rotalith.voxelize import SamplingConfig, voxelize
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +111,47 @@ def test_prin_haar_deviation_within_calibrated_bound():
         rot, _ = prin_forward(pts @ Q.T, w, cfg)
         per = np.linalg.norm(rot - base, axis=1) / scale
         assert per.mean() < 1e-2
+
+
+def _ball_prin_forward(points, weights, cfg):
+    """The dense path composed on the (2B)^3 ball: every activation is a
+    radially constant grid and per-point features are read trilinearly."""
+    grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
+    if cfg.shells_as_channels:
+        grid = shells_to_channels(grid)
+    n_layers = len(cfg.layer_channels) - 1
+    for li in range(n_layers):
+        grid = svc_spectral(grid, SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"]))
+        if li != n_layers - 1:
+            np.maximum(grid.data, 0.0, out=grid.data)
+    alpha, beta, h = cart_to_spherical(points)
+    per_point = _head_apply(weights, "pp", trilinear_sample(grid, alpha, beta, h))
+    global_feat = _head_apply(weights, "gl", grid.data.max(axis=(0, 1, 2)))
+    return per_point, global_feat
+
+
+@pytest.mark.parametrize("shells", [False, True], ids=["mean", "shells"])
+@pytest.mark.parametrize("B", [4, 8])
+def test_prin_sphere_path_matches_ball_composition(B, shells):
+    cfg = PrinConfig(bandwidth=B, xi=0.1, shells_as_channels=shells)
+    w = init_weights(cfg, 3)
+    pts = blob_cloud(4000, 9)
+    per_point, global_feat = prin_forward(pts, w, cfg)
+    ref_pp, ref_g = _ball_prin_forward(pts, w, cfg)
+    for out, ref in ((per_point, ref_pp), (global_feat, ref_g)):
+        assert out.shape == ref.shape
+        scale = np.abs(ref).max()
+        assert scale > 0.0
+        assert np.abs(out - ref).max() <= 1e-12 * scale
+
+
+def test_prin_non_finite_layer_output_raises():
+    cfg = PrinConfig(bandwidth=4)
+    w = init_weights(cfg, 0)
+    w["svc1"] = w["svc1"].copy()
+    w["svc1"][0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        prin_forward(blob_cloud(128, 0), w, cfg)
 
 
 def test_prin_shells_as_channels_runs_and_differs():

@@ -1,9 +1,9 @@
-"""Trilinear re-sampling: node exactness, linear reproduction, boundary policy."""
+"""Grid re-sampling: node exactness, linear reproduction, boundary policy."""
 
 import numpy as np
 
 from rotalith.harmonics import alpha_nodes, beta_nodes, h_nodes
-from rotalith.resample import trilinear_sample
+from rotalith.resample import bilinear_sample, trilinear_sample
 from rotalith.voxelize import SphericalGrid
 
 
@@ -86,3 +86,48 @@ def test_partition_of_unity_via_constant_grid():
         rng.uniform(0, 1, 500),
     )
     assert np.abs(out - 7.25).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bilinear sampling on the sphere
+# ---------------------------------------------------------------------------
+
+
+def test_bilinear_exact_at_nodes_and_keeps_trailing_axes():
+    B = 4
+    values = np.random.default_rng(5).standard_normal((2 * B, 2 * B, 3, 2))
+    ai, bj = alpha_nodes(B), beta_nodes(B)
+    idx = [(0, 0), (3, 2), (7, 7), (5, 1)]
+    out = bilinear_sample(values, B, ai[[i for i, _ in idx]], bj[[j for _, j in idx]])
+    assert out.shape == (4, 3, 2)
+    for row, (i, j) in enumerate(idx):
+        assert np.abs(out[row] - values[i, j]).max() < 1e-12
+
+
+def test_bilinear_wraps_alpha_and_clamps_beta():
+    B = 4
+    n = 2 * B
+    values = np.random.default_rng(6).standard_normal((n, n, 2))
+    bj = beta_nodes(B)
+    eps = 1e-9
+    lo = bilinear_sample(values, B, np.array([2 * np.pi - eps]), np.array([bj[3]]))
+    hi = bilinear_sample(values, B, np.array([eps]), np.array([bj[3]]))
+    assert np.abs(lo - hi).max() < 1e-6
+    mid = bilinear_sample(values, B, np.array([7.5 * np.pi / B]), np.array([bj[2]]))
+    assert np.abs(mid[0] - 0.5 * (values[7, 2] + values[0, 2])).max() < 1e-12
+    poles = bilinear_sample(values, B, alpha_nodes(B)[[1, 1]], np.array([0.0, np.pi]))
+    assert np.abs(poles[0] - values[1, 0]).max() < 1e-12
+    assert np.abs(poles[1] - values[1, n - 1]).max() < 1e-12
+
+
+def test_bilinear_matches_trilinear_on_radially_constant_grid():
+    B = 4
+    n = 2 * B
+    values = np.random.default_rng(7).standard_normal((n, n, 3))
+    grid = SphericalGrid(B, np.broadcast_to(values[:, :, None, :], (n, n, n, 3)))
+    rng = np.random.default_rng(8)
+    alpha = rng.uniform(0.0, 2 * np.pi, 200)
+    beta = rng.uniform(0.0, np.pi, 200)
+    h = rng.uniform(0.0, 1.0, 200)
+    out = bilinear_sample(values, B, alpha, beta)
+    assert np.abs(out - trilinear_sample(grid, alpha, beta, h)).max() < 1e-12

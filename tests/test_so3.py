@@ -19,6 +19,7 @@ from rotalith.so3 import (
     shells_to_channels,
     svc_bruteforce,
     svc_spectral,
+    svc_sphere,
 )
 from rotalith.voxelize import SphericalGrid, grid_shift_alpha
 
@@ -212,6 +213,26 @@ def test_svc_output_radially_constant():
     assert np.abs(out.data - out.data[:, :, :1, :]).max() <= 1e-10
 
 
+def test_svc_spectral_is_sphere_kernel_broadcast():
+    B = 4
+    n = 2 * B
+    f = band_limited_grid(B, 10, channels=3)
+    psi = random_filter(B, 10, c_out=2, c_in=3)
+    kernel = svc_sphere(S2Signal(B, f.data.mean(axis=2)), psi)
+    assert kernel.data.shape == (n, n, 2)
+    expected = np.broadcast_to(kernel.data[:, :, None, :], (n, n, n, 2))
+    assert np.array_equal(svc_spectral(f, psi).data, expected)
+
+
+def test_svc_sphere_rejects_non_finite_output():
+    B = 4
+    coeffs = random_filter(B, 11).coeffs.copy()
+    coeffs[0, 0, 0] = np.inf
+    g = S2Signal(B, np.ones((2 * B, 2 * B, 1)))
+    with pytest.raises(ValueError, match="non-finite"):
+        svc_sphere(g, SphericalFilter(B, coeffs=coeffs))
+
+
 def test_svc_bandwidth_and_channel_mismatch():
     f = band_limited_grid(4, 0)
     with pytest.raises(ValueError):
@@ -220,6 +241,13 @@ def test_svc_bandwidth_and_channel_mismatch():
         svc_spectral(f, random_filter(4, 0, c_in=2))
     with pytest.raises(ValueError):
         svc_spectral(f, SphericalFilter(4, grid=np.zeros((8, 8, 1, 1))))
+    g = S2Signal(4, np.zeros((8, 8, 1)))
+    with pytest.raises(ValueError, match="bandwidth"):
+        svc_sphere(g, random_filter(8, 0))
+    with pytest.raises(ValueError, match="channel"):
+        svc_sphere(g, random_filter(4, 0, c_in=2))
+    with pytest.raises(ValueError, match="spectral"):
+        svc_sphere(g, SphericalFilter(4, grid=np.zeros((8, 8, 1, 1))))
 
 
 def test_nonzonal_filter_components_do_not_contribute():

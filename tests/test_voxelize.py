@@ -117,3 +117,14 @@ def test_alpha_window_wraps_at_seam():
     pt = spherical_to_cart(2 * np.pi - 0.01, beta_nodes(B)[4], 0.5)
     grid = voxelize(pt[None, :], B, SamplingConfig(xi=XI))
     assert grid.data[0, 4, 4, 0] > 0.0
+
+
+def test_package_keeps_voxelize_submodule():
+    import types
+
+    import rotalith
+    import rotalith.voxelize as vox_module
+
+    assert isinstance(rotalith.voxelize, types.ModuleType)
+    assert vox_module is rotalith.voxelize
+    assert callable(vox_module.voxelize)
