@@ -28,7 +28,7 @@ from .sprin import (
     farthest_point_sampling,
     knn_table,
 )
-from .voxelize import SamplingConfig, normalize_cloud, voxelize
+from .voxelize import SamplingConfig, _point_chunks, normalize_cloud, voxelize
 from . import harmonics as sh
 
 
@@ -211,7 +211,8 @@ def prin_forward(
     are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
     over its radial bins once (or, with ``shells_as_channels``, its bins
     become channels in :func:`~rotalith.so3.shells_to_channels` order), and
-    per-point features are read by bilinear interpolation on the sphere.
+    per-point features are read by bilinear interpolation on the sphere and
+    fed to the per-point head in chunks of rows.
 
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
@@ -236,8 +237,14 @@ def prin_forward(
         act = svc_sphere(act, SphericalFilter(B, coeffs=coeffs))
         if li != n_layers - 1:
             np.maximum(act.data, 0.0, out=act.data)
+    # read-out and head per chunk of rows, each within the dense chunk budget
     alpha, beta, _ = cart_to_spherical(points)
-    per_point = _head_apply(weights, "pp", bilinear_sample(act.data, B, alpha, beta))
+    per_point = None
+    for chunk in _point_chunks(points.shape[0], 8 * chans[-1]):
+        feats = _head_apply(weights, "pp", bilinear_sample(act.data, B, alpha[chunk], beta[chunk]))
+        if per_point is None:  # the head's width comes from its weights
+            per_point = np.empty((points.shape[0], feats.shape[1]))
+        per_point[chunk] = feats
     global_feat = _head_apply(weights, "gl", act.data.max(axis=(0, 1)))
     return per_point, global_feat
 

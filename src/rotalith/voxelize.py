@@ -25,7 +25,22 @@ from .errors import InputFormatError
 from .geometry import cart_to_spherical
 from .harmonics import beta_nodes
 
-_POINT_CHUNK = 16384
+# byte budget of one chunk of the dense path's per-point work: the
+# voxelizer's candidate voxels and the read-out's feature rows
+_CHUNK_BYTES = 4 << 20
+
+
+def _point_chunks(n: int, row_bytes: int) -> list[slice]:
+    """Split ``n`` rows into near-equal chunks of at most ``_CHUNK_BYTES``.
+
+    Every chunk holds at least one row.  Near-equal sizes keep each chunk
+    large when ``n`` barely exceeds one chunk; a sliver of a few rows would
+    take a small-matrix BLAS kernel that rounds differently.
+    """
+    rows = max(1, _CHUNK_BYTES // row_bytes)
+    count = -(-n // rows)
+    bounds = [n * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass
@@ -109,11 +124,9 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
     kb = int(np.floor(2 * xi / d_beta)) + 2
     kc = int(np.floor(2 * xi / d_h)) + 2
 
-    for lo in range(0, points.shape[0], _POINT_CHUNK):
-        a = alpha[lo:lo + _POINT_CHUNK]
-        b = beta[lo:lo + _POINT_CHUNK]
-        r = h[lo:lo + _POINT_CHUNK]
-        n = a.size
+    # a chunk's points expand to at most ka * kb * kc float64 candidates each
+    for chunk in _point_chunks(points.shape[0], 8 * ka * kb * kc):
+        a, b, r = alpha[chunk], beta[chunk], h[chunk]
 
         # alpha: unwrapped candidate indices near a / d_alpha, wrap at the seam
         ia0 = np.ceil((a - xi) / d_alpha).astype(np.int64)
@@ -130,25 +143,18 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
         kc0 = np.ceil((r - xi) / d_h).astype(np.int64)
         kk = kc0[:, None] + np.arange(kc)[None, :]
         in_range_c = (kk >= 0) & (kk < n_bins)
-        kk_safe = np.clip(kk, 0, n_bins - 1)
-        h_dist = np.abs(r[:, None] - kk_safe * d_h)
+        h_dist = np.abs(r[:, None] - kk * d_h)
         mask_c = in_range_c & (h_dist < xi)
 
-        mask = (
-            mask_a[:, :, None, None] & mask_b[:, None, :, None] & mask_c[:, None, None, :]
-        )
-        if not mask.any():
-            continue
-        flat_idx = (
-            (ia[:, :, None, None] * n_bins + jb_safe[:, None, :, None]) * n_bins
-            + kk_safe[:, None, None, :]
-        )
-        weight = np.broadcast_to(
-            (xi - h_dist)[:, None, None, :], mask.shape
-        )
-        sel = mask.reshape(n, -1)
-        np.add.at(num, flat_idx.reshape(n, -1)[sel], weight.reshape(n, -1)[sel])
-        np.add.at(den, flat_idx.reshape(n, -1)[sel], 1.0)
+        # sphere cells each point touches, in (point, alpha, beta) order, then
+        # their radial candidates: add.at sums in point order, so the grid
+        # does not depend on the chunk size
+        p, i, j = np.nonzero(mask_a[:, :, None] & mask_b[:, None, :])
+        sel = mask_c[p]
+        cell = (ia[p, i] * n_bins + jb_safe[p, j]) * n_bins
+        flat_idx = (cell[:, None] + kk[p])[sel]
+        np.add.at(num, flat_idx, xi - h_dist[p][sel])
+        np.add.at(den, flat_idx, 1.0)
 
     values = np.where(den > 0.0, num / np.maximum(den, 1.0), 0.0)
     return SphericalGrid(B, values.reshape(n_bins, n_bins, n_bins, 1))

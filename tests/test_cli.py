@@ -1,6 +1,7 @@
 """Command surface: exit codes, CSV shapes, determinism, file round trips."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,6 +84,25 @@ def test_match_huge_declared_archive_exits_2(tmp_path, capsys):
     code, stdout, err = run_cli(capsys, "match", "--a", str(path), "--b", str(path))
     assert code == 2
     assert "truncated" in err
+
+
+def test_voxelize_wide_window_stays_within_memory(tmp_path, capsys):
+    # at B=32 and xi=1 each point has 22 x 42 x 130 candidate voxels: one
+    # float64 array over all of them would take about 1 GB for 1000 points
+    path = tmp_path / "cloud.xyz"
+    write_cloud(path, blob_cloud(1000, 3))
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run_cli(
+            capsys, "voxelize", "--in", str(path), "--bandwidth", "32",
+            "--xi", "1", "--out", str(tmp_path / "grid.rtlh"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "bandwidth=32" in stdout
+    assert peak < 64 << 20
 
 
 def test_voxelize_writes_archive(cloud_file, tmp_path, capsys):

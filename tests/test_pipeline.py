@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import rotalith.pipeline as pipeline_module
+import rotalith.voxelize as vox_module
 from rotalith.errors import InputFormatError, NumericError
 from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
 from rotalith.pipeline import (
@@ -143,6 +145,30 @@ def test_prin_sphere_path_matches_ball_composition(B, shells):
         scale = np.abs(ref).max()
         assert scale > 0.0
         assert np.abs(out - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shells", [False, True], ids=["mean", "shells"])
+def test_prin_chunked_read_out_is_exact(shells, monkeypatch):
+    cfg = PrinConfig(bandwidth=4, xi=0.1, shells_as_channels=shells)
+    w = init_weights(cfg, 2)
+    pts = blob_cloud(1000, 5)
+    ref_pp, ref_g = prin_forward(pts, w, cfg)
+    head_rows = []
+
+    def counting_head(weights, prefix, x):
+        if prefix == "pp":
+            head_rows.append(x.shape[0])
+        return _head_apply(weights, prefix, x)
+
+    monkeypatch.setattr(pipeline_module, "_head_apply", counting_head)
+    # 150 and 400 rows of 50 float64 channels: ragged chunks of 142/143 and 333/334
+    for rows, n_chunks in ((150, 7), (400, 3)):
+        head_rows.clear()
+        monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 8 * cfg.layer_channels[-1] * rows)
+        per_point, global_feat = prin_forward(pts, w, cfg)
+        assert len(head_rows) == n_chunks and sum(head_rows) == 1000
+        assert np.array_equal(per_point, ref_pp)
+        assert np.array_equal(global_feat, ref_g)
 
 
 def test_prin_non_finite_layer_output_raises():

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
+import rotalith.voxelize as vox_module
 from rotalith.errors import InputFormatError
-from rotalith.geometry import rot_z, spherical_to_cart
+from rotalith.geometry import cart_to_spherical, rot_z, spherical_to_cart
 from rotalith.harmonics import alpha_nodes, beta_nodes, h_nodes
-from rotalith.voxelize import SamplingConfig, grid_shift_alpha, normalize_cloud, voxelize
+from rotalith.voxelize import (
+    SamplingConfig,
+    _point_chunks,
+    grid_shift_alpha,
+    normalize_cloud,
+    voxelize,
+)
 
 XI = 1.0 / 32.0
 
@@ -128,3 +135,75 @@ def test_package_keeps_voxelize_submodule():
     assert isinstance(rotalith.voxelize, types.ModuleType)
     assert vox_module is rotalith.voxelize
     assert callable(vox_module.voxelize)
+
+
+def _oracle(points, B, cfg):
+    """Brute-force voxelizer: one window test per (point, voxel) pair."""
+    ai, bj, hk = alpha_nodes(B), beta_nodes(B), h_nodes(B)
+    eta = np.sin(bj) if cfg.mode == "daas" else np.ones(2 * B)
+    num = np.zeros((2 * B, 2 * B, 2 * B))
+    den = np.zeros((2 * B, 2 * B, 2 * B))
+    alpha, beta, h = cart_to_spherical(points)
+    for a, b, r in zip(alpha, beta, h):
+        for i in range(2 * B):
+            da = abs(a - ai[i]) % (2 * np.pi)
+            if min(da, 2 * np.pi - da) >= cfg.xi:
+                continue
+            for j in range(2 * B):
+                if abs(b - bj[j]) >= eta[j] * cfg.xi:
+                    continue
+                for k in range(2 * B):
+                    if abs(r - hk[k]) < cfg.xi:
+                        num[i, j, k] += cfg.xi - abs(r - hk[k])
+                        den[i, j, k] += 1.0
+    return np.where(den > 0.0, num / np.maximum(den, 1.0), 0.0)
+
+
+def _seam_and_pole_points(B):
+    """Points just either side of the alpha seam and next to both poles."""
+    eps = 1e-3
+    rows = [
+        (2 * np.pi - eps, beta_nodes(B)[1], 0.4),
+        (eps, beta_nodes(B)[2], 0.7),
+        (2 * np.pi - 0.2, np.pi / 2, 0.9),
+        (0.3, eps, 0.5),
+        (5.0, np.pi - eps, 0.6),
+        (0.0, 0.0, 0.3),
+        (0.0, np.pi, 0.8),
+    ]
+    return np.array([spherical_to_cart(a, b, r) for a, b, r in rows])
+
+
+@pytest.mark.parametrize("B", [2, 4])
+@pytest.mark.parametrize("mode", ["daas", "uniform"])
+@pytest.mark.parametrize("xi", [0.1, 0.4])
+def test_matches_bruteforce_oracle(B, mode, xi):
+    cfg = SamplingConfig(xi=xi, mode=mode)
+    pts = np.concatenate([_cloud(B, n=60), _seam_and_pole_points(B)])
+    got = voxelize(pts, B, cfg).data[..., 0]
+    want = _oracle(pts, B, cfg)
+    assert np.array_equal(got != 0.0, want != 0.0)
+    assert np.count_nonzero(want) > 0
+    assert np.abs(got - want).max() <= 1e-14
+
+
+def test_point_chunks_cover_rows_in_near_equal_chunks(monkeypatch):
+    monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 80)
+    for n, row_bytes in ((1, 8), (10, 8), (11, 8), (1000, 8), (7, 1000)):
+        chunks = _point_chunks(n, row_bytes)
+        sizes = [c.stop - c.start for c in chunks]
+        assert chunks[0].start == 0 and chunks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(chunks[:-1], chunks[1:]))
+        assert max(sizes) <= max(1, 80 // row_bytes)
+        assert max(sizes) - min(sizes) <= 1
+
+
+def test_wide_window_grid_independent_of_chunk_budget(monkeypatch):
+    # xi = 1 at B = 8 gives 7 x 12 x 34 candidate voxels per point
+    B, cfg = 8, SamplingConfig(xi=1.0)
+    pts = _cloud(11, n=300)
+    default = voxelize(pts, B, cfg).data
+    per_point = 8 * 7 * 12 * 34
+    for budget in (1, 3 * per_point, 5 * per_point + 7):
+        monkeypatch.setattr(vox_module, "_CHUNK_BYTES", budget)
+        assert np.array_equal(voxelize(pts, B, cfg).data, default)
