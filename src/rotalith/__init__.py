@@ -29,10 +29,7 @@ from .geometry import (
 from .voxelize import SamplingConfig, SphericalGrid, grid_shift_alpha, normalize_cloud
 from .so3 import (
     S2Signal,
-    SO3Signal,
     SphericalFilter,
-    adjoint,
-    adjoint_inverse,
     equivariance_report,
     filter_eval,
     gamma_average,
@@ -50,10 +47,8 @@ from .sprin import (
     SprinLayerCfg,
     dilated_knn,
     farthest_point_sampling,
-    feature_propagation,
     knn_table,
     relative_invariants,
-    set_abstraction,
     sparse_correlate,
 )
 from .pipeline import (

@@ -26,7 +26,8 @@ from functools import lru_cache
 
 import numpy as np
 
-_LEGENDRE_CHUNK = 65536
+# byte budget of one coefficient-major basis block in _sh_blocks
+_SH_CHUNK_BYTES = 4 << 20
 
 
 def alpha_nodes(B: int) -> np.ndarray:
@@ -73,152 +74,93 @@ def grid_area_weights(B: int) -> np.ndarray:
     return np.broadcast_to(beta_weights(B)[None, :] * (np.pi / B), (2 * B, 2 * B))
 
 
-def legendre_normalized(L: int, x: np.ndarray, s: np.ndarray | None = None) -> np.ndarray:
-    """Fully normalized associated Legendre values, shape ``(L+1, L+1, *x.shape)``.
+def _sh_block(L: int, dirs: np.ndarray) -> np.ndarray:
+    """Real SH basis at unit vectors ``(n, 3)``, coefficient-major ``((L+1)^2, n)``.
 
-    Entry ``[l, m]`` holds ``P~_l^m(x)`` such that ``Y_{l,0} = P~_l^0`` and the
-    non-zonal real harmonics are ``sqrt(2) * P~_l^m * cos/sin(m alpha)``.
-    ``s`` overrides ``sqrt(1 - x^2)`` when the caller has a more accurate
-    value (unit vectors near the poles).
-    """
-    x = np.asarray(x, dtype=float)
-    if s is None:
-        s = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    P = np.zeros((L + 1, L + 1) + x.shape)
-    P[0, 0] = 1.0 / np.sqrt(4.0 * np.pi)
-    for m in range(1, L + 1):
-        P[m, m] = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * P[m - 1, m - 1]
-    for m in range(L):
-        P[m + 1, m] = np.sqrt(2 * m + 3.0) * x * P[m, m]
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[l, m] = a * (x * P[l - 1, m] - b * P[l - 2, m])
-    return P
-
-
-def sh_basis(L: int, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Real SH basis matrix, shape ``(*pts, (L+1)^2)``.
-
-    Evaluation is chunked so the intermediate Legendre table stays small for
-    large point batches.
-    """
-    beta = np.asarray(beta, dtype=float).ravel()
-    alpha = np.asarray(alpha, dtype=float).ravel()
-    npts = beta.size
-    out = np.empty((npts, n_coeffs(L)))
-    for lo in range(0, npts, _LEGENDRE_CHUNK):
-        hi = min(npts, lo + _LEGENDRE_CHUNK)
-        P = legendre_normalized(L, np.cos(beta[lo:hi]))
-        a = alpha[lo:hi]
-        for l in range(L + 1):
-            out[lo:hi, coeff_index(l, 0)] = P[l, 0]
-            for m in range(1, l + 1):
-                pm = np.sqrt(2.0) * P[l, m]
-                out[lo:hi, coeff_index(l, m)] = pm * np.cos(m * a)
-                out[lo:hi, coeff_index(l, -m)] = pm * np.sin(m * a)
-    return out
-
-
-def sh_basis_dirs(L: int, dirs: np.ndarray) -> np.ndarray:
-    """Real SH basis at unit vectors ``dirs`` of shape ``(N, 3)``.
-
-    Avoids transcendental calls: ``cos(beta)`` is the z component and the
+    ``cos(beta)`` is the z component and ``sin(beta)`` is ``hypot(x, y)``,
+    which stays accurate near the poles where ``sqrt(1 - z^2)`` cancels.  The
     azimuthal factors follow the angle-addition recurrence from the first
-    harmonic.  On the poles the azimuth defaults to 0, where the associated
-    Legendre factors vanish for m > 0 anyway.
+    harmonic; on the poles the azimuth defaults to 0, where the Legendre
+    factors vanish for m > 0 anyway.  Per order m the normalized Legendre
+    values climb in degree l >= m from the sectoral ``P~_m^m``.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    npts = dirs.shape[0]
-    out = np.empty((npts, n_coeffs(L)))
-    root2 = np.sqrt(2.0)
-    for lo in range(0, npts, _LEGENDRE_CHUNK):
-        hi = min(npts, lo + _LEGENDRE_CHUNK)
-        x, y, z = dirs[lo:hi, 0], dirs[lo:hi, 1], dirs[lo:hi, 2]
-        rho = np.sqrt(x * x + y * y)
-        safe = np.maximum(rho, np.finfo(float).tiny)
-        c1 = np.where(rho > 0.0, x / safe, 1.0)
-        s1 = np.where(rho > 0.0, y / safe, 0.0)
-        P = legendre_normalized(L, np.clip(z, -1.0, 1.0), s=rho)
-        buf = np.empty((n_coeffs(L), hi - lo))  # coeff-major for contiguous writes
-        for l in range(L + 1):
-            buf[coeff_index(l, 0)] = P[l, 0]
-        cm, sm = c1, s1
-        for m in range(1, L + 1):
-            for l in range(m, L + 1):
-                pm = root2 * P[l, m]
-                np.multiply(pm, cm, out=buf[coeff_index(l, m)])
-                np.multiply(pm, sm, out=buf[coeff_index(l, -m)])
+    n = dirs.shape[0]
+    x, y, z = dirs[:, 0], dirs[:, 1], np.clip(dirs[:, 2], -1.0, 1.0)
+    s = np.hypot(x, y)
+    safe = np.maximum(s, np.finfo(float).tiny)
+    c1 = np.where(s > 0.0, x / safe, 1.0)
+    s1 = np.where(s > 0.0, y / safe, 0.0)
+    out = np.empty((n_coeffs(L), n))
+    sect = np.full(n, 1.0 / np.sqrt(4.0 * np.pi))  # P~_m^m
+    cm, sm = np.ones(n), np.zeros(n)  # cos(m alpha), sin(m alpha)
+    for m in range(L + 1):
+        if m > 0:
+            sect = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * sect
             cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-        out[lo:hi] = buf.T
+        p_prev, p = None, sect
+        for l in range(m, L + 1):
+            if l == m + 1:
+                p_prev, p = p, np.sqrt(2 * m + 3.0) * z * p
+            elif l > m + 1:
+                a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_prev, p = p, a * (z * p - b * p_prev)
+            if m == 0:
+                out[coeff_index(l, 0)] = p
+            else:
+                pm = np.sqrt(2.0) * p
+                np.multiply(pm, cm, out=out[coeff_index(l, m)])
+                np.multiply(pm, sm, out=out[coeff_index(l, -m)])
     return out
 
 
-def sh_eval_dirs(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Evaluate coefficients at unit vectors ``(N, 3)``.
+def _sh_blocks(L: int, dirs: np.ndarray):
+    """Yield ``(rows, _sh_block(L, dirs[rows]))`` in blocks of at most ``_SH_CHUNK_BYTES``."""
+    rows = max(1, _SH_CHUNK_BYTES // (8 * n_coeffs(L)))
+    for lo in range(0, dirs.shape[0], rows):
+        chunk = slice(lo, lo + rows)
+        yield chunk, _sh_block(L, dirs[chunk])
 
-    Fuses the Legendre recursion with the coefficient contraction so no
-    basis matrix is materialized; this is the hot path of the brute-force
-    group correlation.
-    """
+
+def _degree(coeffs: np.ndarray) -> int:
+    """Degree cutoff L of a coefficient array with ``(L+1)^2`` leading rows."""
+    L = int(round(np.sqrt(coeffs.shape[0]))) - 1
+    if n_coeffs(L) != coeffs.shape[0]:
+        raise ValueError(f"coefficient count {coeffs.shape[0]} is not a perfect square")
+    return L
+
+
+def sh_basis(L: int, dirs: np.ndarray) -> np.ndarray:
+    """Real SH basis matrix at unit vectors ``(N, 3)``, shape ``(N, (L+1)^2)``."""
+    dirs = np.asarray(dirs, dtype=float)
+    out = np.empty((dirs.shape[0], n_coeffs(L)))
+    for rows, block in _sh_blocks(L, dirs):
+        out[rows] = block.T
+    return out
+
+
+def sh_eval(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Evaluate coefficients ``((L+1)^2, ...)`` at unit vectors ``(N, 3)`` -> ``(N, ...)``."""
     c = np.asarray(coeffs, dtype=float)
-    L = int(round(np.sqrt(c.shape[0]))) - 1
-    if n_coeffs(L) != c.shape[0]:
-        raise ValueError(f"coefficient count {c.shape[0]} is not a perfect square")
+    L = _degree(c)
     dirs = np.asarray(dirs, dtype=float)
     cmat = c.reshape(c.shape[0], -1)
-    n_chan = cmat.shape[1]
-    vals = np.empty((dirs.shape[0], n_chan))
-    root2 = np.sqrt(2.0)
-    for lo in range(0, dirs.shape[0], _LEGENDRE_CHUNK):
-        hi = min(dirs.shape[0], lo + _LEGENDRE_CHUNK)
-        x, y, z = dirs[lo:hi, 0], dirs[lo:hi, 1], dirs[lo:hi, 2]
-        z = np.clip(z, -1.0, 1.0)
-        # for unit vectors sin(beta) is hypot(x, y), which stays accurate
-        # near the poles where sqrt(1 - z^2) cancels
-        s = np.sqrt(x * x + y * y)
-        safe = np.maximum(s, np.finfo(float).tiny)
-        c1 = np.where(s > 0.0, x / safe, 1.0)
-        s1 = np.where(s > 0.0, y / safe, 0.0)
-        acc = np.zeros((hi - lo, n_chan))
-        sect = np.full(hi - lo, 1.0 / np.sqrt(4.0 * np.pi))  # P~_m^m climbing in m
-        cm = np.ones(hi - lo)
-        sm = np.zeros(hi - lo)
-
-        def _add(l, m, p):
-            if m == 0:
-                acc[...] += p[:, None] * cmat[coeff_index(l, 0)]
-            else:
-                t = root2 * p
-                acc[...] += (t * cm)[:, None] * cmat[coeff_index(l, m)]
-                acc[...] += (t * sm)[:, None] * cmat[coeff_index(l, -m)]
-
-        for m in range(L + 1):
-            if m > 0:
-                sect = -np.sqrt((2 * m + 1) / (2.0 * m)) * s * sect
-                cm, sm = cm * c1 - sm * s1, sm * c1 + cm * s1
-            p_prev = sect
-            _add(m, m, p_prev)
-            if m + 1 <= L:
-                p_cur = np.sqrt(2 * m + 3.0) * z * p_prev
-                _add(m + 1, m, p_cur)
-                for l in range(m + 2, L + 1):
-                    a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                    b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                    p_next = a * (z * p_cur - b * p_prev)
-                    _add(l, m, p_next)
-                    p_prev, p_cur = p_cur, p_next
-        vals[lo:hi] = acc
+    vals = np.empty((dirs.shape[0], cmat.shape[1]))
+    for rows, block in _sh_blocks(L, dirs):
+        vals[rows] = block.T @ cmat
     return vals.reshape((dirs.shape[0],) + c.shape[1:])
+
+
+def grid_dirs(B: int) -> np.ndarray:
+    """Unit vectors of the (alpha, beta) grid nodes, shape ``(4B^2, 3)``, alpha-major."""
+    A, Bb = np.meshgrid(alpha_nodes(B), beta_nodes(B), indexing="ij")
+    sb = np.sin(Bb)
+    return np.stack([sb * np.cos(A), sb * np.sin(A), np.cos(Bb)], axis=-1).reshape(-1, 3)
 
 
 @lru_cache(maxsize=None)
 def _grid_basis_cached(B: int, L: int) -> np.ndarray:
-    ai = alpha_nodes(B)
-    bj = beta_nodes(B)
-    AA, BB = np.meshgrid(ai, bj, indexing="ij")
-    Y = sh_basis(L, BB.ravel(), AA.ravel())
+    Y = sh_basis(L, grid_dirs(B))
     Y.setflags(write=False)
     return Y
 
@@ -246,29 +188,9 @@ def sh_analysis(values: np.ndarray, B: int, L: int) -> np.ndarray:
 def sh_synthesis(coeffs: np.ndarray, B: int) -> np.ndarray:
     """Coefficients ``((L+1)^2, ...)`` to grid values ``(2B, 2B, ...)``."""
     c = np.asarray(coeffs, dtype=float)
-    L = int(round(np.sqrt(c.shape[0]))) - 1
-    if n_coeffs(L) != c.shape[0]:
-        raise ValueError(f"coefficient count {c.shape[0]} is not a perfect square")
+    L = _degree(c)
     if L >= B:
         raise ValueError(f"degree cutoff L={L} must be < bandwidth B={B}")
     lead = c.shape[1:]
     flat = grid_basis(B, L) @ c.reshape(c.shape[0], -1)
     return flat.reshape((2 * B, 2 * B) + lead)
-
-
-def sh_eval(coeffs: np.ndarray, beta: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Evaluate a coefficient vector ``((L+1)^2, ...)`` at arbitrary points."""
-    c = np.asarray(coeffs, dtype=float)
-    L = int(round(np.sqrt(c.shape[0]))) - 1
-    if n_coeffs(L) != c.shape[0]:
-        raise ValueError(f"coefficient count {c.shape[0]} is not a perfect square")
-    beta = np.asarray(beta, dtype=float)
-    bflat = beta.ravel()
-    aflat = np.asarray(alpha, dtype=float).ravel()
-    lead = c.shape[1:]
-    cmat = c.reshape(c.shape[0], -1)
-    vals = np.empty((bflat.size, cmat.shape[1]))
-    for lo in range(0, bflat.size, _LEGENDRE_CHUNK):
-        hi = min(bflat.size, lo + _LEGENDRE_CHUNK)
-        vals[lo:hi] = sh_basis(L, bflat[lo:hi], aflat[lo:hi]) @ cmat
-    return vals.reshape(beta.shape + lead)

@@ -10,9 +10,7 @@ trained (plain gradient descent with analytic gradients).
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -108,12 +106,9 @@ def small_sprin_config(k: int = 16, d: int = 1, m: int = 16) -> SprinConfig:
 
 @dataclass
 class Descriptor:
-    """Per-point or global invariant features plus provenance."""
+    """Per-point or global invariant features."""
 
     feats: np.ndarray = field(repr=False)
-    shape_id: str = ""
-    point_indices: np.ndarray | None = None
-    config_hash: str = ""
 
     def __post_init__(self):
         self.feats = np.asarray(self.feats, dtype=float)
@@ -123,12 +118,6 @@ class Descriptor:
     @property
     def channels(self) -> int:
         return self.feats.shape[-1]
-
-
-def config_hash(cfg) -> str:
-    """Stable digest of a config dataclass for descriptor provenance."""
-    blob = json.dumps(asdict(cfg), sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------

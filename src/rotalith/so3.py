@@ -1,9 +1,9 @@
 """Signals and correlations on the rotation group.
 
 A grid signal on the ball doubles as a signal on the rotation group through
-the relabeling ``(alpha_i, beta_j, h_k) -> Z(alpha_i) Y(beta_j) Z(2*pi*h_k)``;
-:func:`adjoint` performs it index-for-index.  The voxel correlation averages
-the group correlation over the z-coset:
+the index-preserving relabeling ``(alpha_i, beta_j, h_k) -> Z(alpha_i)
+Y(beta_j) Z(2*pi*h_k)``, so the radial axis of a grid is read as its gamma
+axis.  The voxel correlation averages the group correlation over the z-coset:
 
     out(p) = integral over gamma and R of
              psi_T(R^-1 T(p)) * f_T(R Z(gamma)) dR dgamma
@@ -41,26 +41,6 @@ from .resample import bilinear_sample
 from .voxelize import SphericalGrid
 
 _BRUTE_DIR_CHUNK = 32
-
-
-@dataclass
-class SO3Signal:
-    """Signal on the Euler-angle grid, data ``[2B, 2B, 2B, C]`` over (alpha, beta, gamma)."""
-
-    bandwidth: int
-    data: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        B = self.bandwidth
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.ndim != 4 or self.data.shape[:3] != (2 * B, 2 * B, 2 * B):
-            raise ValueError(f"SO3 data must be (2B, 2B, 2B, C) for B={B}, got {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("SO3 data contains non-finite entries")
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[3]
 
 
 @dataclass
@@ -145,23 +125,13 @@ class SphericalFilter:
         return sh.sh_synthesis(self.coeffs, self.bandwidth)
 
 
-def adjoint(grid: SphericalGrid) -> SO3Signal:
-    """Reread a ball signal as a rotation-group signal (index-preserving)."""
-    return SO3Signal(grid.bandwidth, grid.data.copy())
-
-
-def adjoint_inverse(signal: SO3Signal) -> SphericalGrid:
-    """Inverse relabeling of :func:`adjoint`."""
-    return SphericalGrid(signal.bandwidth, signal.data.copy())
-
-
-def gamma_average(signal: SO3Signal | SphericalGrid) -> S2Signal:
+def gamma_average(grid: SphericalGrid) -> S2Signal:
     """Average over the gamma axis (the inner coset integral, mass 1).
 
-    A ball grid is accepted as is: :func:`adjoint` preserves indices, so its
-    radial axis is the gamma axis.
+    The relabeling onto the rotation group preserves indices, so the gamma
+    axis is the grid's radial axis.
     """
-    return S2Signal(signal.bandwidth, signal.data.mean(axis=2))
+    return S2Signal(grid.bandwidth, grid.data.mean(axis=2))
 
 
 def sh_forward(s: S2Signal, L: int | None = None) -> np.ndarray:
@@ -178,7 +148,7 @@ def sh_inverse(coeffs: np.ndarray, B: int) -> S2Signal:
 def _eval_filter_dirs(psi: SphericalFilter, dirs: np.ndarray) -> np.ndarray:
     """Filter values at unit directions ``(N, 3)`` -> ``(N, C_out, C_in)``."""
     if psi.is_spectral:
-        return sh.sh_eval_dirs(psi.coeffs, dirs)
+        return sh.sh_eval(psi.coeffs, dirs)
     beta = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
     alpha = np.arctan2(dirs[..., 1], dirs[..., 0])
     return bilinear_sample(psi.grid, psi.bandwidth, alpha, beta)
@@ -223,7 +193,7 @@ def _h_slices_equal(B: int) -> tuple[int, ...]:
 def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
     """Voxel correlation by direct quadrature over the Euler grid.
 
-    The gamma integral is the mean of the adjoint signal over shifted gamma
+    The gamma integral is the mean of the signal over shifted gamma
     indices; the group integral is the weighted sum of
     ``filter_eval(psi, R^-1 T(p)) * gbar(R)`` over all grid rotations.
     Radial constancy of the output is asserted through the filter arguments:
@@ -238,10 +208,9 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
     if psi.c_in != c_in:
         raise ValueError(f"channel mismatch: signal C={c_in}, filter C_in={psi.c_in}")
 
-    ft = adjoint(f)
     # inner integral: mean over the gamma circle; a gamma shift permutes the
     # index circle, so the mean is the same for every base rotation on a fiber
-    gbar = ft.data.mean(axis=2)  # (2B, 2B, C_in), a function of R @ n
+    gbar = gamma_average(f).data  # (2B, 2B, C_in), a function of R @ n
 
     Rs = _euler_grid_rotations(B).reshape(-1, 3, 3)
     w = _haar_weights(B).reshape(-1)
@@ -348,16 +317,8 @@ def rotate_grid(f: SphericalGrid, Q: np.ndarray, L: int | None = None) -> Spheri
     n = 2 * B
     shells = f.data.reshape(n, n, -1)  # radial bins and channels flattened
     coeffs = sh.sh_analysis(shells, B, L)
-    ai = sh.alpha_nodes(B)
-    bj = sh.beta_nodes(B)
-    A, Bb = np.meshgrid(ai, bj, indexing="ij")
-    dirs = np.stack(
-        [np.sin(Bb) * np.cos(A), np.sin(Bb) * np.sin(A), np.cos(Bb)], axis=-1
-    ).reshape(-1, 3)
-    back = dirs @ np.asarray(Q, dtype=float)  # rows are Q^-1 @ dir
-    beta = np.arccos(np.clip(back[:, 2], -1.0, 1.0))
-    alpha = np.arctan2(back[:, 1], back[:, 0])
-    vals = sh.sh_eval(coeffs, beta, alpha)
+    back = sh.grid_dirs(B) @ np.asarray(Q, dtype=float)  # rows are Q^-1 @ dir
+    vals = sh.sh_eval(coeffs, back)
     return SphericalGrid(B, vals.reshape(f.data.shape))
 
 
@@ -374,16 +335,8 @@ def equivariance_report(
     B = f.bandwidth
     out_hat_rot = _svc_output_coeffs(gamma_average(rotate_grid(f, Q)), psi)
     out_hat = _svc_output_coeffs(gamma_average(f), psi)
-    ai = sh.alpha_nodes(B)
-    bj = sh.beta_nodes(B)
-    A, Bb = np.meshgrid(ai, bj, indexing="ij")
-    dirs = np.stack(
-        [np.sin(Bb) * np.cos(A), np.sin(Bb) * np.sin(A), np.cos(Bb)], axis=-1
-    ).reshape(-1, 3)
-    rotated = dirs @ np.asarray(Q, dtype=float).T  # Q @ dir per row
-    beta = np.arccos(np.clip(rotated[:, 2], -1.0, 1.0))
-    alpha = np.arctan2(rotated[:, 1], rotated[:, 0])
-    lhs = sh.sh_eval(out_hat_rot, beta, alpha)  # [psi * L_Q f](Q p)
+    rotated = sh.grid_dirs(B) @ np.asarray(Q, dtype=float).T  # Q @ dir per row
+    lhs = sh.sh_eval(out_hat_rot, rotated)  # [psi * L_Q f](Q p)
     rhs = sh.grid_basis(B, int(round(np.sqrt(out_hat.shape[0]))) - 1) @ out_hat
     err = np.abs(lhs - rhs)
     return {"max_abs_err": float(err.max()), "mean_abs_err": float(err.mean())}

@@ -290,35 +290,3 @@ def sparse_correlate(
         points.mean(axis=0),
     )
 
-
-def set_abstraction(
-    points: np.ndarray,
-    in_feats: np.ndarray | None,
-    m: int,
-    filt: MlpFilter,
-    cfg: SprinLayerCfg,
-    rng,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Farthest-point sample m centers, then correlate at them."""
-    points = np.asarray(points, dtype=float)
-    idx = farthest_point_sampling(points, m)
-    feats = sparse_correlate(points, in_feats, idx, filt, cfg, rng)
-    return points[idx], feats
-
-
-def feature_propagation(
-    up_points: np.ndarray,
-    down_points: np.ndarray,
-    down_feats: np.ndarray,
-    filt: MlpFilter,
-    cfg: SprinLayerCfg,
-    rng,
-) -> np.ndarray:
-    """Correlate up-sampled points against the coarser featured cloud."""
-    up_points = np.asarray(up_points, dtype=float)
-    down_points = np.asarray(down_points, dtype=float)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return correlate_at(
-        down_points, down_feats, up_points, knn_table(down_points, up_points, cfg.k), filt, cfg,
-        rng, down_points.mean(axis=0),
-    )

@@ -119,8 +119,9 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
     num = np.zeros(n_bins * n_bins * n_bins)
     den = np.zeros(n_bins * n_bins * n_bins)
 
-    # candidate index offsets per axis; windows never span more bins than this
-    ka = int(np.floor(2 * xi / d_alpha)) + 2
+    # candidate index offsets per axis; windows never span more bins than
+    # this, and alpha candidates stop at one turn so each bin is entered once
+    ka = min(int(np.floor(2 * xi / d_alpha)) + 2, n_bins)
     kb = int(np.floor(2 * xi / d_beta)) + 2
     kc = int(np.floor(2 * xi / d_h)) + 2
 
@@ -128,10 +129,13 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
     for chunk in _point_chunks(points.shape[0], 8 * ka * kb * kc):
         a, b, r = alpha[chunk], beta[chunk], h[chunk]
 
-        # alpha: unwrapped candidate indices near a / d_alpha, wrap at the seam
+        # alpha: unwrapped candidate indices near a / d_alpha, distance on
+        # the circle, wrap at the seam; d >= 2*pi needs xi > d, where every
+        # bin is inside the window, and 2*pi - d <= 0 admits it
         ia0 = np.ceil((a - xi) / d_alpha).astype(np.int64)
         ia = ia0[:, None] + np.arange(ka)[None, :]
-        mask_a = np.abs(a[:, None] - ia * d_alpha) < xi
+        d = np.abs(a[:, None] - ia * d_alpha)
+        mask_a = np.minimum(d, 2 * np.pi - d) < xi
         ia = np.mod(ia, n_bins)
 
         jb0 = np.ceil((b - xi) / d_beta - 0.5).astype(np.int64)

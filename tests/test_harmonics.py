@@ -7,6 +7,22 @@ from scipy.special import sph_harm_y
 from rotalith import harmonics as sh
 
 
+def _dirs(beta, alpha):
+    return np.stack(
+        [np.sin(beta) * np.cos(alpha), np.sin(beta) * np.sin(alpha), np.cos(beta)], axis=-1
+    )
+
+
+def _assert_matches_scipy(Y, L, beta, alpha, tol):
+    for l in range(L + 1):
+        ref0 = sph_harm_y(l, 0, beta, alpha).real
+        assert np.abs(Y[:, sh.coeff_index(l, 0)] - ref0).max() < tol
+        for m in range(1, l + 1):
+            ref = sph_harm_y(l, m, beta, alpha)
+            assert np.abs(Y[:, sh.coeff_index(l, m)] - np.sqrt(2) * ref.real).max() < tol
+            assert np.abs(Y[:, sh.coeff_index(l, -m)] - np.sqrt(2) * ref.imag).max() < tol
+
+
 @pytest.mark.parametrize("B", [2, 3, 4, 8, 16])
 def test_beta_weights_integrate_polynomials_exactly(B):
     bj = sh.beta_nodes(B)
@@ -32,14 +48,8 @@ def test_real_sh_against_scipy():
     beta = rng.uniform(0.05, np.pi - 0.05, 60)
     alpha = rng.uniform(0.0, 2 * np.pi, 60)
     L = 20
-    Y = sh.sh_basis(L, beta, alpha)
-    for l in range(L + 1):
-        ref0 = sph_harm_y(l, 0, beta, alpha).real
-        assert np.abs(Y[:, sh.coeff_index(l, 0)] - ref0).max() < 1e-12
-        for m in range(1, l + 1):
-            ref = sph_harm_y(l, m, beta, alpha)
-            assert np.abs(Y[:, sh.coeff_index(l, m)] - np.sqrt(2) * ref.real).max() < 1e-12
-            assert np.abs(Y[:, sh.coeff_index(l, -m)] - np.sqrt(2) * ref.imag).max() < 1e-12
+    Y = sh.sh_basis(L, _dirs(beta, alpha))
+    _assert_matches_scipy(Y, L, beta, alpha, 1e-12)
 
 
 @pytest.mark.parametrize("B", [4, 8, 16])
@@ -84,25 +94,34 @@ def test_degree_overflow_errors():
         sh.sh_synthesis(np.zeros((sh.n_coeffs(4), 1)), B)
 
 
-def test_cartesian_paths_match_angle_basis():
-    # away from the poles all three evaluation paths agree; at the poles the
-    # angle basis itself loses the azimuth (arccos saturates), so only the two
-    # Cartesian paths are compared there
+def test_sh_basis_near_and_at_poles_against_scipy():
+    # hypot(x, y) keeps sin(beta) accurate where sqrt(1 - z^2) cancels; the
+    # exact poles take azimuth 0, where every m > 0 harmonic vanishes
     rng = np.random.default_rng(6)
-    d = rng.standard_normal((800, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d = rng.standard_normal((200, 3))
     d[:80, :2] *= 1e-7
-    d[:80] /= np.linalg.norm(d[:80], axis=1, keepdims=True)
-    beta = np.arccos(np.clip(d[:, 2], -1, 1))
+    d = np.concatenate([d / np.linalg.norm(d, axis=1, keepdims=True), [[0, 0, 1], [0, 0, -1]]])
+    beta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
     alpha = np.arctan2(d[:, 1], d[:, 0])
     for L in (3, 7, 15):
-        ref = sh.sh_basis(L, beta, alpha)
-        coeffs = rng.standard_normal((sh.n_coeffs(L), 2))
-        assert np.abs(sh.sh_basis_dirs(L, d)[80:] - ref[80:]).max() < 1e-12
-        assert np.abs(sh.sh_eval_dirs(coeffs, d)[80:] - ref[80:] @ coeffs).max() < 1e-11
-        fused = sh.sh_eval_dirs(coeffs, d)
-        direct = sh.sh_basis_dirs(L, d) @ coeffs
-        assert np.abs(fused - direct).max() < 1e-11
+        _assert_matches_scipy(sh.sh_basis(L, d), L, beta, alpha, 1e-12)
+
+
+def test_sh_eval_matches_basis_across_chunks(monkeypatch):
+    rng = np.random.default_rng(2)
+    d = rng.standard_normal((300, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    L = 9
+    coeffs = rng.standard_normal((sh.n_coeffs(L), 2, 3))
+    basis = sh.sh_basis(L, d)
+    # 7 rows per block: 43 blocks, the last one ragged
+    monkeypatch.setattr(sh, "_SH_CHUNK_BYTES", 7 * 8 * sh.n_coeffs(L))
+    assert np.array_equal(sh.sh_basis(L, d), basis)
+    vals = sh.sh_eval(coeffs, d)
+    assert vals.shape == (300, 2, 3)
+    assert np.abs(vals - np.einsum("nk,kij->nij", basis, coeffs)).max() < 1e-12
+    with pytest.raises(ValueError, match="perfect square"):
+        sh.sh_eval(coeffs[:-1], d)
 
 
 def test_sh_eval_matches_synthesis_on_grid():
@@ -110,6 +129,5 @@ def test_sh_eval_matches_synthesis_on_grid():
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal((sh.n_coeffs(B - 1), 2))
     grid = sh.sh_synthesis(coeffs, B)
-    A, Bb = np.meshgrid(sh.alpha_nodes(B), sh.beta_nodes(B), indexing="ij")
-    vals = sh.sh_eval(coeffs, Bb, A)
+    vals = sh.sh_eval(coeffs, sh.grid_dirs(B)).reshape(grid.shape)
     assert np.abs(vals - grid).max() < 1e-12

@@ -13,7 +13,6 @@ from rotalith.pipeline import (
     PrinConfig,
     SprinConfig,
     blob_cloud,
-    config_hash,
     head_loss_and_grad,
     head_predict,
     init_weights,
@@ -377,11 +376,6 @@ def test_head_predict_shapes():
     y = rng.integers(0, 4, 30)
     head, _ = train_head(X, y, epochs=5, lr=0.1, seed=0)
     assert head_predict(head, X).shape == (30,)
-
-
-def test_config_hash_stable_and_sensitive():
-    assert config_hash(PrinConfig()) == config_hash(PrinConfig())
-    assert config_hash(PrinConfig()) != config_hash(PrinConfig(bandwidth=16))
 
 
 @pytest.mark.slow

@@ -8,8 +8,6 @@ from rotalith.geometry import random_rotation, rot_z
 from rotalith.so3 import (
     S2Signal,
     SphericalFilter,
-    adjoint,
-    adjoint_inverse,
     equivariance_report,
     filter_eval,
     gamma_average,
@@ -49,19 +47,8 @@ def sphere_mean(s2: S2Signal) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# adjoint / gamma average
+# gamma average
 # ---------------------------------------------------------------------------
-
-
-def test_adjoint_is_index_preserving():
-    B = 3
-    data = np.zeros((6, 6, 6, 1))
-    data[1, 2, 3, 0] = 4.0
-    sig = adjoint(SphericalGrid(B, data))
-    assert sig.data[1, 2, 3, 0] == 4.0
-    assert np.count_nonzero(sig.data) == 1
-    back = adjoint_inverse(sig)
-    assert np.array_equal(back.data, data)
 
 
 def test_gamma_average_constant_and_delta():
@@ -69,19 +56,19 @@ def test_gamma_average_constant_and_delta():
     rng = np.random.default_rng(0)
     slice_ab = rng.standard_normal((6, 6, 1))
     const = np.repeat(slice_ab[:, :, None, :], 6, axis=2)
-    g = gamma_average(adjoint(SphericalGrid(B, const)))
+    g = gamma_average(SphericalGrid(B, const))
     assert np.abs(g.data - slice_ab).max() < 1e-15
 
     data = np.zeros((6, 6, 6, 1))
     data[2, 3, 4, 0] = 5.0
-    g = gamma_average(adjoint(SphericalGrid(B, data)))
+    g = gamma_average(SphericalGrid(B, data))
     assert np.isclose(g.data[2, 3, 0], 5.0 / 6.0)
 
 
 def test_gamma_average_conserves_weighted_mass():
     B = 4
     grid = band_limited_grid(B, 7)
-    g = gamma_average(adjoint(grid))
+    g = gamma_average(grid)
     w = sh.grid_area_weights(B)
     lhs = np.einsum("ab,abc->c", w, g.data)
     rhs = np.einsum("ab,abkc->c", w, grid.data) / (2 * B)
@@ -148,7 +135,7 @@ def test_svc_constant_filter_closed_form(impl):
     f = band_limited_grid(B, 2)
     c = 1.7
     out = impl(f, constant_filter(B, c))
-    expected = c * sphere_mean(gamma_average(adjoint(f)))[0]
+    expected = c * sphere_mean(gamma_average(f))[0]
     assert np.abs(out.data - expected).max() < 1e-10
 
 

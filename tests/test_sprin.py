@@ -9,12 +9,11 @@ from rotalith.geometry import random_rotation
 from rotalith.sprin import (
     MlpFilter,
     SprinLayerCfg,
+    correlate_at,
     dilated_knn,
     farthest_point_sampling,
-    feature_propagation,
     knn_table,
     relative_invariants,
-    set_abstraction,
     sparse_correlate,
 )
 
@@ -305,15 +304,28 @@ def test_max_aggregation_flag():
     assert np.all(max_out >= mean_out - 1e-12)
 
 
+# set abstraction (FPS centers, then correlate at them) and feature
+# propagation (correlate finer points against a coarser featured cloud), built
+# from the kernels sprin_forward calls
+def _propagate(up, down, down_feats, filt, cfg):
+    rng = np.random.default_rng(0)
+    table = knn_table(down, up, cfg.k)
+    return correlate_at(down, down_feats, up, table, filt, cfg, rng, down.mean(axis=0))
+
+
 def test_set_abstraction_reduces_to_correlate_and_single_center():
     pts = _cloud(10, 24)
     filt = _filter((8, 16, 6), 6)
     cfg = SprinLayerCfg(k=6, d=1)
-    sub_pts, feats = set_abstraction(pts, None, 24, filt, cfg, 0)
-    direct = sparse_correlate(pts, None, farthest_point_sampling(pts, 24), filt, cfg, 0)
-    assert np.abs(feats - direct).max() < 1e-12
-    one_pt, one_feat = set_abstraction(pts, None, 1, filt, cfg, 0)
-    assert one_pt.shape == (1, 3) and one_feat.shape == (1, 6)
+    idx = farthest_point_sampling(pts, 24)
+    assert sorted(idx.tolist()) == list(range(24))
+    feats = sparse_correlate(pts, None, idx, filt, cfg, 0)
+    direct = sparse_correlate(pts, None, np.arange(24), filt, cfg, 0)
+    assert np.abs(feats - direct[idx]).max() < 1e-12
+    one = farthest_point_sampling(pts, 1)
+    one_feat = sparse_correlate(pts, None, one, filt, cfg, 0)
+    assert one.shape == (1,) and one_feat.shape == (1, 6)
+    assert np.abs(one_feat[0] - direct[one[0]]).max() < 1e-12
 
 
 def test_feature_propagation_reduces_and_single_down_point():
@@ -321,13 +333,13 @@ def test_feature_propagation_reduces_and_single_down_point():
     feats = np.random.default_rng(2).standard_normal((20, 4))
     filt = _filter((8 + 4, 16, 6), 7)
     cfg = SprinLayerCfg(k=5, d=1)
-    via_fp = feature_propagation(pts, pts, feats, filt, cfg, 0)
+    via_fp = _propagate(pts, pts, feats, filt, cfg)
     via_sc = sparse_correlate(pts, feats, np.arange(20), filt, cfg, 0)
     assert np.abs(via_fp - via_sc).max() < 1e-12
 
     down = pts[:1]
     dfeat = feats[:1]
-    out = feature_propagation(pts, down, dfeat, filt, SprinLayerCfg(k=1, d=1), 0)
+    out = _propagate(pts, down, dfeat, filt, SprinLayerCfg(k=1, d=1))
     for j in (0, 7, 19):
         inv = relative_invariants(down[0], pts[j], down.mean(axis=0))
         expected = filt.apply(np.concatenate([inv, dfeat[0]]))
@@ -338,10 +350,12 @@ def test_set_abstraction_rotation_invariance():
     pts = _cloud(14, 40)
     filt = _filter((8, 16, 6), 9)
     cfg = SprinLayerCfg(k=8, d=1)
-    sub, feats = set_abstraction(pts, None, 12, filt, cfg, 0)
+    idx = farthest_point_sampling(pts, 12)
+    feats = sparse_correlate(pts, None, idx, filt, cfg, 0)
     Q = random_rotation(6)
-    sub_r, feats_r = set_abstraction(pts @ Q.T, None, 12, filt, cfg, 0)
-    assert np.abs(sub_r - sub @ Q.T).max() < 1e-12  # same indices selected
+    idx_r = farthest_point_sampling(pts @ Q.T, 12)
+    feats_r = sparse_correlate(pts @ Q.T, None, idx_r, filt, cfg, 0)
+    assert np.array_equal(idx_r, idx)  # same centers selected
     rel = np.linalg.norm(feats_r - feats, axis=1) / np.maximum(np.linalg.norm(feats, axis=1), 1e-30)
     assert rel.max() < 1e-5
 
@@ -353,8 +367,8 @@ def test_feature_propagation_rotation_invariance():
     feats = rng.standard_normal((30, 4))
     filt = _filter((8 + 4, 16, 6), 8)
     cfg = SprinLayerCfg(k=8, d=1)
-    base = feature_propagation(up, down, feats, filt, cfg, 0)
+    base = _propagate(up, down, feats, filt, cfg)
     Q = random_rotation(4)
-    rot = feature_propagation(up @ Q.T, down @ Q.T, feats, filt, cfg, 0)
+    rot = _propagate(up @ Q.T, down @ Q.T, feats, filt, cfg)
     rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
     assert rel.max() < 1e-5

@@ -176,7 +176,7 @@ def _seam_and_pole_points(B):
 
 @pytest.mark.parametrize("B", [2, 4])
 @pytest.mark.parametrize("mode", ["daas", "uniform"])
-@pytest.mark.parametrize("xi", [0.1, 0.4])
+@pytest.mark.parametrize("xi", [0.1, 0.4, 3.0, 3.3, 4.0])
 def test_matches_bruteforce_oracle(B, mode, xi):
     cfg = SamplingConfig(xi=xi, mode=mode)
     pts = np.concatenate([_cloud(B, n=60), _seam_and_pole_points(B)])
