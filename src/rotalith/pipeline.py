@@ -158,15 +158,21 @@ def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
-def _mlp_from(weights: dict, prefix: str) -> MlpFilter:
+def _mlp_layers(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(W, b)`` pairs stored under ``prefix``; missing or non-finite weights raise."""
     layers = []
     j = 0
     while f"{prefix}_w{j}" in weights:
+        for key in (f"{prefix}_w{j}", f"{prefix}_b{j}"):
+            if key not in weights:
+                raise ValueError(f"weights are missing {key!r}")
+            if not np.all(np.isfinite(weights[key])):
+                raise ValueError(f"weight {key!r} holds non-finite entries")
         layers.append((np.asarray(weights[f"{prefix}_w{j}"]), np.asarray(weights[f"{prefix}_b{j}"])))
         j += 1
     if not layers:
         raise ValueError(f"no weights found under prefix {prefix!r}")
-    return MlpFilter(layers)
+    return layers
 
 
 def _head_apply(weights: dict, prefix: str, x: np.ndarray) -> np.ndarray:
@@ -207,6 +213,8 @@ def prin_forward(
     The cloud must already be normalized into the unit ball.
     """
     points = np.asarray(points, dtype=float)
+    for head in ("pp", "gl"):  # checked once here, not per read-out chunk
+        _mlp_layers(weights, head)
     B = cfg.bandwidth
     grid = voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)).data
     n = 2 * B
@@ -281,6 +289,8 @@ def sprin_forward(
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
     points = np.asarray(points, dtype=float)
+    for head in ("cls", "seg"):
+        _mlp_layers(weights, head)
     rng = np.random.default_rng(seed)
     enc, dec = _sparse_plan(cfg)
     k_max: dict[tuple[int, int], int] = {}
@@ -296,7 +306,7 @@ def sprin_forward(
         if pair not in tables:
             tables[pair] = knn_table(src, ctr, k_max[pair])
         lcfg = SprinLayerCfg(k=layer.k, d=layer.d, aggregate=cfg.aggregate)
-        filt = _mlp_from(weights, layer.key)
+        filt = MlpFilter(_mlp_layers(weights, layer.key))
         return correlate_at(src, feats, ctr, tables[pair], filt, lcfg, rng, src.mean(axis=0))
 
     feats = None

@@ -64,29 +64,6 @@ class MlpFilter:
     def in_width(self) -> int:
         return self.layers[0][0].shape[1]
 
-    @property
-    def out_width(self) -> int:
-        return self.layers[-1][0].shape[0]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate on inputs of shape ``(..., in_width)``."""
-        y = np.asarray(x, dtype=float)
-        last = len(self.layers) - 1
-        for i, (W, b) in enumerate(self.layers):
-            y = y @ W.T + b
-            if i != last:
-                np.maximum(y, 0.0, out=y)
-        return y
-
-    @classmethod
-    def create(cls, widths: tuple[int, ...], rng: np.random.Generator) -> "MlpFilter":
-        """Seeded scaled-normal init (variance 2 / fan_in), zero biases."""
-        layers = []
-        for w_in, w_out in zip(widths[:-1], widths[1:]):
-            W = rng.standard_normal((w_out, w_in)) * np.sqrt(2.0 / w_in)
-            layers.append((W, np.zeros(w_out)))
-        return cls(layers)
-
 
 def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The 8 rotation-invariant scalars for neighbor/center/centroid triples.
@@ -220,18 +197,6 @@ def farthest_point_sampling(points: np.ndarray, m: int, start_idx: int = 0) -> n
     return chosen
 
 
-def _pair_features(
-    nbr_pos: np.ndarray,
-    center_pos: np.ndarray,
-    centroid: np.ndarray,
-    nbr_feats: np.ndarray | None,
-) -> np.ndarray:
-    inv = relative_invariants(nbr_pos, center_pos[:, None, :], centroid)
-    if nbr_feats is None:
-        return inv
-    return np.concatenate([inv, nbr_feats], axis=-1)
-
-
 def correlate_at(
     source_points: np.ndarray,
     source_feats: np.ndarray | None,
@@ -246,6 +211,9 @@ def correlate_at(
 
     ``neighbors`` is a :func:`knn_table` of the centers into the source with
     at least ``cfg.k`` columns; its first ``cfg.k`` columns are used.
+    The result equals running ``filt`` on ``[invariants || features]`` per
+    pair, but only the invariants' part of the first layer, the hidden
+    layers and, under ``max``, the last layer run per pair.
     """
     expected = 8 + (0 if source_feats is None else source_feats.shape[1])
     if filt.in_width != expected:
@@ -255,16 +223,23 @@ def correlate_at(
     nbr = neighbors[:, : cfg.k]
     if cfg.d != 1:
         nbr = np.stack([_dilated_subset(row, cfg.k, cfg.d, rng) for row in nbr])
-    x = _pair_features(
-        source_points[nbr],
-        center_pos,
-        centroid,
-        None if source_feats is None else source_feats[nbr],
-    )
-    y = filt.apply(x)
+    inv = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
+    # first layer: the feature columns and the bias act once per source point
+    (W0, b0), *rest = filt.layers
+    if source_feats is None:
+        h = inv @ W0.T + b0
+    else:
+        h = inv @ W0[:, :8].T
+        h += (source_feats @ W0[:, 8:].T + b0)[nbr]
+    for i, (W, b) in enumerate(rest, start=1):
+        np.maximum(h, 0.0, out=h)
+        if i == len(rest) and cfg.aggregate == "mean":
+            # the output layer is affine, so it commutes with the mean
+            return h.mean(axis=1) @ W.T + b
+        h = h @ W.T + b
     if cfg.aggregate == "max":
-        return y.max(axis=1)
-    return y.mean(axis=1)
+        return h.max(axis=1)
+    return h.mean(axis=1)
 
 
 def sparse_correlate(

@@ -251,6 +251,45 @@ def test_features_prin_non_finite_weights_exit_2(cloud_file, tmp_path, capsys):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "pipeline,key,value",
+    [("sprin", "enc1_0_w0", np.nan), ("sprin", "seg_w0", np.inf), ("prin", "pp_w0", np.nan)],
+)
+def test_features_non_finite_mlp_weights_exit_2(cloud_file, tmp_path, capsys, pipeline, key, value):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import PrinConfig, SprinConfig, init_weights
+
+    weights = init_weights(PrinConfig(bandwidth=4) if pipeline == "prin" else SprinConfig(), 0)
+    weights[key][0, 0] = value
+    wpath = tmp_path / "bad_w.rtlh"
+    write_archive(wpath, weights)
+    out = tmp_path / "f.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", pipeline, "--bandwidth", "4", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert key in err and "non-finite" in err
+
+
+def test_features_missing_bias_exits_2(cloud_file, tmp_path, capsys):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import SprinConfig, init_weights
+
+    weights = init_weights(SprinConfig(), 0)
+    del weights["cls_b0"]
+    wpath = tmp_path / "no_bias.rtlh"
+    write_archive(wpath, weights)
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", "sprin", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(tmp_path / "f.rtlh"),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "cls_b0" in err
+
+
 def test_bench_csv(capsys):
     code, stdout, _ = run_cli(
         capsys, "bench", "--op", "svc", "--bandwidth", "2", "--impl", "spectral", "--repeat", "2"

@@ -230,7 +230,24 @@ def test_fps_spreads_better_than_random():
 
 
 def _filter(widths, seed):
-    return MlpFilter.create(widths, np.random.default_rng(seed))
+    """Seeded scaled-normal weights (variance 2 / fan_in) and small nonzero biases."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for w_in, w_out in zip(widths[:-1], widths[1:]):
+        W = rng.standard_normal((w_out, w_in)) * np.sqrt(2.0 / w_in)
+        layers.append((W, 0.1 * rng.standard_normal(w_out)))
+    return MlpFilter(layers)
+
+
+def _mlp_apply(filt, x):
+    """The filter on inputs of shape ``(..., in_width)``, one row at a time: the per-pair oracle."""
+    y = np.asarray(x, dtype=float)
+    last = len(filt.layers) - 1
+    for i, (W, b) in enumerate(filt.layers):
+        y = y @ W.T + b
+        if i != last:
+            y = np.maximum(y, 0.0)
+    return y
 
 
 def test_constant_filter_gives_constant_output():
@@ -246,7 +263,7 @@ def test_single_point_cloud():
     pt = np.array([[0.2, 0.1, -0.3]])
     filt = _filter((8, 16, 4), 0)
     out = sparse_correlate(pt, None, np.array([0]), filt, SprinLayerCfg(k=1), 0)
-    expected = filt.apply(relative_invariants(pt[0], pt[0], pt[0]))
+    expected = _mlp_apply(filt, relative_invariants(pt[0], pt[0], pt[0]))
     assert np.abs(out[0] - expected).max() < 1e-12
 
 
@@ -281,7 +298,7 @@ def test_mean_aggregation_bound():
     centroid = pts.mean(axis=0)
     for j in range(0, 40, 7):
         idx = dilated_knn(pts, j, 10, 1, np.random.default_rng(0))
-        per = filt.apply(relative_invariants(pts[idx], pts[j], centroid))
+        per = _mlp_apply(filt, relative_invariants(pts[idx], pts[j], centroid))
         assert np.all(out[j] <= per.max(axis=0) + 1e-12)
         assert np.all(out[j] >= per.min(axis=0) - 1e-12)
 
@@ -342,7 +359,7 @@ def test_feature_propagation_reduces_and_single_down_point():
     out = _propagate(pts, down, dfeat, filt, SprinLayerCfg(k=1, d=1))
     for j in (0, 7, 19):
         inv = relative_invariants(down[0], pts[j], down.mean(axis=0))
-        expected = filt.apply(np.concatenate([inv, dfeat[0]]))
+        expected = _mlp_apply(filt, np.concatenate([inv, dfeat[0]]))
         assert np.abs(out[j] - expected).max() < 1e-12
 
 
@@ -372,3 +389,72 @@ def test_feature_propagation_rotation_invariance():
     rot = _propagate(up @ Q.T, down @ Q.T, feats, filt, cfg)
     rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
     assert rel.max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# per-pair oracle: correlate_at splits the filter at its linear ends (first
+# layer per source point, last layer per center under the mean); the oracle
+# concatenates [invariants || features] and runs the whole filter per pair
+# ---------------------------------------------------------------------------
+
+
+def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, cfg, rng, centroid):
+    nbr = neighbors[:, : cfg.k]
+    if cfg.d != 1:  # one ceil(k/d)-draw per center row, in row order
+        need = -(-cfg.k // cfg.d)
+        nbr = np.stack([row[rng.choice(cfg.k, size=need, replace=False)] for row in nbr])
+    x = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
+    if source_feats is not None:
+        x = np.concatenate([x, source_feats[nbr]], axis=-1)
+    y = _mlp_apply(filt, x)
+    return y.max(axis=1) if cfg.aggregate == "max" else y.mean(axis=1)
+
+
+ORACLE_CLOUDS = {
+    "blob": pipeline.blob_cloud(150, 1),
+    "lattice": _lattice(),
+    "duplicates": np.concatenate([_cloud(22, 40)] * 3),
+}
+
+
+def _assert_rel_close(got, ref, tol=1e-12):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "max"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS))
+def test_correlate_at_matches_per_pair_oracle(cloud, d, aggregate):
+    pts = ORACLE_CLOUDS[cloud]
+    centers = pts[::3]
+    cfg = SprinLayerCfg(k=12, d=d, aggregate=aggregate)
+    table = knn_table(pts, centers, 15)  # wider than k: only the first k columns are read
+    feats = np.random.default_rng(4).standard_normal((len(pts), 5))
+    for seed, hidden in enumerate([(), (16,), (16, 12)]):
+        for f in (None, feats):
+            filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
+            args = (pts, f, centers, table, filt, cfg)
+            got = correlate_at(*args, np.random.default_rng(9), pts.mean(axis=0))
+            ref = _correlate_oracle(*args, np.random.default_rng(9), pts.mean(axis=0))
+            _assert_rel_close(got, ref)
+
+
+@pytest.mark.parametrize("aggregate", ["mean", "max"])
+@pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS))
+def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud, aggregate):
+    pts = ORACLE_CLOUDS[cloud]
+    for d in (1, 2, 3):
+        cfg = pipeline.small_sprin_config(k=12, d=d, m=40)
+        cfg.aggregate = aggregate
+        weights = pipeline.init_weights(cfg, d)
+        rng = np.random.default_rng(d)
+        for key in weights:  # nonzero biases, so a misplaced bias shows
+            if "_b" in key:
+                weights[key] = 0.1 * rng.standard_normal(weights[key].shape)
+        fast = pipeline.sprin_forward(pts, weights, cfg, seed=3)
+        with monkeypatch.context() as m:
+            m.setattr(pipeline, "correlate_at", _correlate_oracle)
+            ref = pipeline.sprin_forward(pts, weights, cfg, seed=3)
+        for got, want in zip(fast, ref):
+            _assert_rel_close(got, want)
