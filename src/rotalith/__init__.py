@@ -34,8 +34,6 @@ from .so3 import (
     filter_eval,
     gamma_average,
     rotate_grid,
-    sh_forward,
-    sh_inverse,
     shells_to_channels,
     svc_bruteforce,
     svc_spectral,

@@ -160,6 +160,10 @@ def _random_svc_case(B: int, seed: int):
 def _cmd_bench(args) -> int:
     if args.op != "svc":
         raise InputFormatError(f"unknown op {args.op!r}")
+    if args.bandwidth < 1 or args.repeat < 1:
+        raise InputFormatError(
+            f"--bandwidth and --repeat must be >= 1, got {args.bandwidth} and {args.repeat}"
+        )
     f, psi = _random_svc_case(args.bandwidth, seed=0)
     run = svc_bruteforce if args.impl == "brute" else svc_spectral
     run(f, psi)  # warm caches outside the timed region

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
-from .so3 import S2Signal, SphericalFilter, svc_sphere
+from .so3 import SphericalFilter, gamma_average, shells_to_channels, svc_sphere
 from .sprin import (
     MlpFilter,
     SprinLayerCfg,
@@ -41,17 +41,12 @@ class PrinConfig:
     conv_channels: tuple[int, ...] = (40, 50)
     fc_widths: tuple[int, ...] = (50, 50)
     shells_as_channels: bool = False
-    filter_degree: int | None = None
 
     def __post_init__(self):
         if self.bandwidth < 2:
             raise ValueError(f"bandwidth must be >= 2, got {self.bandwidth}")
         if min((self.svc_channels,) + self.conv_channels + self.fc_widths) < 1:
             raise ValueError("all channel widths must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return self.bandwidth - 1 if self.filter_degree is None else self.filter_degree
 
     @property
     def layer_channels(self) -> tuple[int, ...]:
@@ -137,7 +132,7 @@ def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     if isinstance(cfg, PrinConfig):
         chans = cfg.layer_channels
-        nc = sh.n_coeffs(cfg.degree)
+        nc = sh.n_coeffs(cfg.bandwidth - 1)
         for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
             out[f"svc{li}"] = rng.standard_normal((nc, c_out, c_in)) * np.sqrt(2.0 / c_in)
         _init_mlp("pp", (chans[-1],) + cfg.fc_widths, rng, out)
@@ -204,10 +199,11 @@ def prin_forward(
 
     Correlation outputs are constant along the radial axis, so activations
     are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
-    over its radial bins once (or, with ``shells_as_channels``, its bins
-    become channels in :func:`~rotalith.so3.shells_to_channels` order), and
-    per-point features are read by bilinear interpolation on the sphere and
-    fed to the per-point head in chunks of rows.
+    over its radial bins once by :func:`~rotalith.so3.gamma_average` (or, with
+    ``shells_as_channels``, its bins become channels through
+    :func:`~rotalith.so3.shells_to_channels`), and per-point features are
+    read by bilinear interpolation on the sphere and fed to the per-point
+    head in chunks of rows.
 
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
@@ -216,20 +212,19 @@ def prin_forward(
     for head in ("pp", "gl"):  # checked once here, not per read-out chunk
         _mlp_layers(weights, head)
     B = cfg.bandwidth
-    grid = voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)).data
-    n = 2 * B
-    act = S2Signal(B, grid.reshape(n, n, -1) if cfg.shells_as_channels else grid.mean(axis=2))
+    grid = voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode))
+    act = shells_to_channels(grid) if cfg.shells_as_channels else gamma_average(grid)
     chans = cfg.layer_channels
+    nc = sh.n_coeffs(B - 1)
     n_layers = len(chans) - 1
     for li in range(n_layers):
         key = f"svc{li}"
         if key not in weights:
             raise ValueError(f"weights are missing {key!r}; config/weight mismatch")
         coeffs = np.asarray(weights[key])
-        if coeffs.shape != (sh.n_coeffs(cfg.degree), chans[li + 1], chans[li]):
+        if coeffs.shape != (nc, chans[li + 1], chans[li]):
             raise ValueError(
-                f"{key} has shape {coeffs.shape}, config wants "
-                f"{(sh.n_coeffs(cfg.degree), chans[li + 1], chans[li])}"
+                f"{key} has shape {coeffs.shape}, config wants {(nc, chans[li + 1], chans[li])}"
             )
         act = svc_sphere(act, SphericalFilter(B, coeffs=coeffs))
         if li != n_layers - 1:

@@ -14,15 +14,15 @@ Filters are constrained to be constant along gamma, which makes them exactly
 functions on the sphere evaluated at the rotated north pole
 (``psi_T(R) = psi_s2(R @ n)``).  Two consequences shape this module:
 
-* outputs are constant along the radial axis (asserted by both paths);
+* outputs are constant along the radial axis (asserted by the brute-force
+  path), so every correlation returns a ``(2B, 2B, C_out)`` :class:`S2Signal`;
 * only the zonal part of the filter survives, so the spectral path reduces to
   a per-degree product: ``out_lm = g_lm * psi_l0 / sqrt(4*pi*(2l+1))`` where
   ``g`` is the gamma-averaged signal.
 
 :func:`svc_sphere` is the one spectral kernel: it maps a gamma-averaged
-``(2B, 2B, C_in)`` sphere signal to the ``(2B, 2B, C_out)`` output, so layers
-can be chained without ever forming the constant radial axis.
-:func:`svc_spectral` wraps it with the ball-grid contract.
+``(2B, 2B, C_in)`` sphere signal to the output, so layers chain on the
+sphere.  :func:`svc_spectral` applies it to a ball grid.
 :func:`svc_bruteforce` never forms coefficients; it sums the integrand over
 the full Euler grid and serves as the independent oracle for
 :func:`svc_spectral`.
@@ -37,7 +37,6 @@ import numpy as np
 
 from . import harmonics as sh
 from .geometry import euler_to_matrix
-from .resample import bilinear_sample
 from .voxelize import SphericalGrid
 
 _BRUTE_DIR_CHUNK = 32
@@ -67,62 +66,33 @@ class S2Signal:
 class SphericalFilter:
     """A gamma-constant rotation-group filter, stored as a function on S^2.
 
-    Exactly one of ``grid`` (shape ``[2B, 2B, C_out, C_in]``) or ``coeffs``
-    (shape ``[(L+1)^2, C_out, C_in]`` with L < B) is set.
+    ``coeffs`` has shape ``[(L+1)^2, C_out, C_in]`` with 0 <= L < B.
     """
 
     bandwidth: int
-    grid: np.ndarray | None = None
-    coeffs: np.ndarray | None = None
+    coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if (self.grid is None) == (self.coeffs is None):
-            raise ValueError("provide exactly one of grid= or coeffs=")
-        B = self.bandwidth
-        if self.grid is not None:
-            self.grid = np.asarray(self.grid, dtype=float)
-            if self.grid.ndim != 4 or self.grid.shape[:2] != (2 * B, 2 * B):
-                raise ValueError(f"filter grid must be (2B, 2B, C_out, C_in), got {self.grid.shape}")
-        else:
-            self.coeffs = np.asarray(self.coeffs, dtype=float)
-            if self.coeffs.ndim != 3:
-                raise ValueError(f"filter coeffs must be (n_coeff, C_out, C_in), got shape {self.coeffs.shape}")
-            L = int(round(np.sqrt(self.coeffs.shape[0]))) - 1
-            if sh.n_coeffs(L) != self.coeffs.shape[0]:
-                raise ValueError("coefficient count is not a perfect square")
-            if L >= B:
-                raise ValueError(f"filter degree L={L} must be < bandwidth B={B}")
-
-    @property
-    def is_spectral(self) -> bool:
-        return self.coeffs is not None
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        if self.coeffs.ndim != 3 or self.coeffs.shape[0] == 0:
+            raise ValueError(
+                f"filter coeffs must be (n_coeff >= 1, C_out, C_in), got shape {self.coeffs.shape}"
+            )
+        L = sh._degree(self.coeffs)
+        if L >= self.bandwidth:
+            raise ValueError(f"filter degree L={L} must be < bandwidth B={self.bandwidth}")
 
     @property
     def degree(self) -> int:
-        if self.coeffs is None:
-            return self.bandwidth - 1
-        return int(round(np.sqrt(self.coeffs.shape[0]))) - 1
+        return sh._degree(self.coeffs)
 
     @property
     def c_out(self) -> int:
-        arr = self.coeffs if self.coeffs is not None else self.grid
-        return arr.shape[1]
+        return self.coeffs.shape[1]
 
     @property
     def c_in(self) -> int:
-        arr = self.coeffs if self.coeffs is not None else self.grid
-        return arr.shape[2]
-
-    def to_coeffs(self, L: int | None = None) -> np.ndarray:
-        if self.coeffs is not None:
-            return self.coeffs
-        L = self.bandwidth - 1 if L is None else L
-        return sh.sh_analysis(self.grid, self.bandwidth, L)
-
-    def to_grid(self) -> np.ndarray:
-        if self.grid is not None:
-            return self.grid
-        return sh.sh_synthesis(self.coeffs, self.bandwidth)
+        return self.coeffs.shape[2]
 
 
 def gamma_average(grid: SphericalGrid) -> S2Signal:
@@ -134,36 +104,16 @@ def gamma_average(grid: SphericalGrid) -> S2Signal:
     return S2Signal(grid.bandwidth, grid.data.mean(axis=2))
 
 
-def sh_forward(s: S2Signal, L: int | None = None) -> np.ndarray:
-    """Harmonic coefficients of a sphere signal, shape ``((L+1)^2, C)``."""
-    L = s.bandwidth - 1 if L is None else L
-    return sh.sh_analysis(s.data, s.bandwidth, L)
-
-
-def sh_inverse(coeffs: np.ndarray, B: int) -> S2Signal:
-    """Synthesize a sphere signal from harmonic coefficients."""
-    return S2Signal(B, sh.sh_synthesis(coeffs, B))
-
-
-def _eval_filter_dirs(psi: SphericalFilter, dirs: np.ndarray) -> np.ndarray:
-    """Filter values at unit directions ``(N, 3)`` -> ``(N, C_out, C_in)``."""
-    if psi.is_spectral:
-        return sh.sh_eval(psi.coeffs, dirs)
-    beta = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
-    alpha = np.arctan2(dirs[..., 1], dirs[..., 0])
-    return bilinear_sample(psi.grid, psi.bandwidth, alpha, beta)
-
-
 def filter_eval(psi: SphericalFilter, R: np.ndarray) -> np.ndarray:
     """Evaluate the group filter at rotation(s) R: ``psi_s2(R @ n)``.
 
-    Spectral filters are evaluated exactly; grid filters by bilinear
-    interpolation.  Returns shape ``(..., C_out, C_in)``.
+    Evaluated exactly from the coefficients; returns shape
+    ``(..., C_out, C_in)``.
     """
     R = np.asarray(R, dtype=float)
     dirs = R[..., :, 2]  # R @ north pole is the third column
     lead = dirs.shape[:-1]
-    vals = _eval_filter_dirs(psi, dirs.reshape(-1, 3))
+    vals = sh.sh_eval(psi.coeffs, dirs.reshape(-1, 3))
     return vals.reshape(lead + vals.shape[1:])
 
 
@@ -190,7 +140,7 @@ def _h_slices_equal(B: int) -> tuple[int, ...]:
     return (0, B, 2 * B - 1)
 
 
-def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
+def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation by direct quadrature over the Euler grid.
 
     The gamma integral is the mean of the signal over shifted gamma
@@ -198,7 +148,8 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
     ``filter_eval(psi, R^-1 T(p)) * gbar(R)`` over all grid rotations.
     Radial constancy of the output is asserted through the filter arguments:
     ``(R^-1 T(p)) @ n`` must be identical for every radial index of p, which
-    is exactly the gamma-constancy constraint at work.
+    is exactly the gamma-constancy constraint at work, so the output is the
+    ``(2B, 2B, C_out)`` sphere signal shared by every radial bin.
     """
     B = f.bandwidth
     if psi.bandwidth != B:
@@ -239,10 +190,10 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
     for lo in range(0, n * n, _BRUTE_DIR_CHUNK):
         hi = min(n * n, lo + _BRUTE_DIR_CHUNK)
         dirs = np.einsum("rji,pj->pri", Rs, U[lo:hi])
-        vals = _eval_filter_dirs(psi, dirs.reshape(-1, 3))
+        vals = sh.sh_eval(psi.coeffs, dirs.reshape(-1, 3))
         vals = vals.reshape(hi - lo, Rs.shape[0], c_out, c_in)
         out_dir[lo:hi] = np.einsum("prij,rj->pi", vals, gw)
-    return _radial_broadcast(out_dir.reshape(n, n, c_out))
+    return S2Signal(B, out_dir.reshape(n, n, c_out))
 
 
 def _spectral_multipliers(L: int) -> np.ndarray:
@@ -250,18 +201,10 @@ def _spectral_multipliers(L: int) -> np.ndarray:
     return 1.0 / np.sqrt(4.0 * np.pi * (2 * l + 1))
 
 
-def _radial_broadcast(values: np.ndarray) -> SphericalGrid:
-    """Ball grid whose every radial bin holds the sphere signal ``(2B, 2B, C)``."""
-    n, _, c = values.shape
-    return SphericalGrid(n // 2, np.broadcast_to(values[:, :, None, :], (n, n, n, c)).copy())
-
-
 def _svc_output_coeffs(g: S2Signal, psi: SphericalFilter) -> np.ndarray:
     B = g.bandwidth
     if psi.bandwidth != B:
         raise ValueError(f"bandwidth mismatch: signal B={B}, filter B={psi.bandwidth}")
-    if not psi.is_spectral:
-        raise ValueError("svc_spectral requires a spectrally stored filter (L < B)")
     if psi.c_in != g.channels:
         raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={psi.c_in}")
     L = psi.degree
@@ -279,30 +222,30 @@ def svc_sphere(g: S2Signal, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation of a gamma-averaged signal, kept on the sphere.
 
     ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input; the result is
-    the ``(2B, 2B, C_out)`` output that :func:`svc_spectral` repeats along
-    the radial axis.  Requires the filter in spectral form; non-zonal filter
-    components integrate out of the correlation and do not contribute.
+    the ``(2B, 2B, C_out)`` output.  Non-zonal filter components integrate
+    out of the correlation and do not contribute.
     """
-    return sh_inverse(_svc_output_coeffs(g, psi), g.bandwidth)
+    return S2Signal(g.bandwidth, sh.sh_synthesis(_svc_output_coeffs(g, psi), g.bandwidth))
 
 
-def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> SphericalGrid:
+def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation through harmonic analysis and per-degree products.
 
-    Same contract as :func:`svc_bruteforce`: gamma-averages ``f``, runs
-    :func:`svc_sphere` and broadcasts its output along the radial axis.
+    Same contract as :func:`svc_bruteforce`: the :func:`svc_sphere` output of
+    the gamma-averaged ``f``.
     """
-    return _radial_broadcast(svc_sphere(gamma_average(f), psi).data)
+    return svc_sphere(gamma_average(f), psi)
 
 
-def shells_to_channels(grid: SphericalGrid) -> SphericalGrid:
+def shells_to_channels(grid: SphericalGrid) -> S2Signal:
     """Reinterpret the radial bins of a grid as channels.
 
-    The result is radially constant with ``2B * C`` channels, so subsequent
-    correlations keep the radial profile instead of averaging it away.
+    The result is a sphere signal with ``2B * C`` channels in ``(h, C)``
+    order, so subsequent correlations keep the radial profile instead of
+    averaging it away.  Its data is a view of ``grid.data``.
     """
     n = 2 * grid.bandwidth
-    return _radial_broadcast(grid.data.reshape(n, n, n * grid.channels))  # (alpha, beta, h*C)
+    return S2Signal(grid.bandwidth, grid.data.reshape(n, n, n * grid.channels))
 
 
 def rotate_grid(f: SphericalGrid, Q: np.ndarray, L: int | None = None) -> SphericalGrid:
@@ -337,6 +280,6 @@ def equivariance_report(
     out_hat = _svc_output_coeffs(gamma_average(f), psi)
     rotated = sh.grid_dirs(B) @ np.asarray(Q, dtype=float).T  # Q @ dir per row
     lhs = sh.sh_eval(out_hat_rot, rotated)  # [psi * L_Q f](Q p)
-    rhs = sh.grid_basis(B, int(round(np.sqrt(out_hat.shape[0]))) - 1) @ out_hat
+    rhs = sh.grid_basis(B, psi.degree) @ out_hat
     err = np.abs(lhs - rhs)
     return {"max_abs_err": float(err.max()), "mean_abs_err": float(err.mean())}

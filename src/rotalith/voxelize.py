@@ -51,8 +51,8 @@ class SamplingConfig:
     mode: str = "daas"
 
     def __post_init__(self):
-        if self.xi <= 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
+        if not (np.isfinite(self.xi) and self.xi > 0.0):
+            raise ValueError(f"xi must be positive and finite, got {self.xi}")
         if self.mode not in ("daas", "uniform"):
             raise ValueError(f"mode must be 'daas' or 'uniform', got {self.mode!r}")
 

@@ -301,6 +301,28 @@ def test_bench_csv(capsys):
     assert lines[-1].startswith("# mean=")
 
 
+@pytest.mark.parametrize("bandwidth, repeat", [("0", "2"), ("2", "0"), ("2", "-2")])
+def test_bench_rejects_non_positive_sizes_exit_2(capsys, bandwidth, repeat):
+    code, stdout, err = run_cli(
+        capsys, "bench", "--op", "svc", "--impl", "spectral",
+        "--bandwidth", bandwidth, "--repeat", repeat,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "must be >= 1" in err
+
+
+@pytest.mark.parametrize("xi", ["inf", "nan"])
+def test_voxelize_non_finite_xi_exits_2(cloud_file, tmp_path, capsys, xi):
+    out = tmp_path / "g.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "voxelize", "--in", str(cloud_file), "--xi", xi, "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "xi" in err
+
+
 def test_toy_small_run(capsys):
     code, stdout, _ = run_cli(
         capsys, "toy", "--classes", "sphere,cube", "--n", "3", "--points", "128",

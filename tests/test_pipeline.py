@@ -26,7 +26,7 @@ from rotalith.pipeline import (
 )
 from rotalith.resample import trilinear_sample
 from rotalith.so3 import SphericalFilter, shells_to_channels, svc_spectral
-from rotalith.voxelize import SamplingConfig, voxelize
+from rotalith.voxelize import SamplingConfig, SphericalGrid, voxelize
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +114,22 @@ def test_prin_haar_deviation_within_calibrated_bound():
         assert per.mean() < 1e-2
 
 
+def _radially_constant(s2):
+    """The ball grid whose every radial bin holds the sphere signal ``s2``."""
+    n = s2.data.shape[0]
+    return SphericalGrid(s2.bandwidth, np.repeat(s2.data[:, :, None, :], n, axis=2))
+
+
 def _ball_prin_forward(points, weights, cfg):
     """The dense path composed on the (2B)^3 ball: every activation is a
     radially constant grid and per-point features are read trilinearly."""
     grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
     if cfg.shells_as_channels:
-        grid = shells_to_channels(grid)
+        grid = _radially_constant(shells_to_channels(grid))
     n_layers = len(cfg.layer_channels) - 1
     for li in range(n_layers):
-        grid = svc_spectral(grid, SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"]))
+        psi = SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"])
+        grid = _radially_constant(svc_spectral(grid, psi))
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
     alpha, beta, h = cart_to_spherical(points)

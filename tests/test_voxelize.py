@@ -64,6 +64,9 @@ def test_errors():
         voxelize(np.zeros((4, 3)), 1, SamplingConfig())
     with pytest.raises(ValueError):
         SamplingConfig(xi=-1.0)
+    for xi in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="xi"):
+            SamplingConfig(xi=xi)
     with pytest.raises(ValueError):
         SamplingConfig(mode="other")
 
