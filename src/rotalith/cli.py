@@ -75,7 +75,10 @@ def _cmd_voxelize(args) -> int:
 
 
 def _cmd_equiv_check(args) -> int:
-    print("trial,rotation,max_abs_err,mean_abs_err")
+    if args.trials < 1:
+        raise InputFormatError(f"--trials must be >= 1, got {args.trials}")
+    # every trial runs before anything is printed, so a failing run leaves stdout empty
+    rows = ["trial,rotation,max_abs_err,mean_abs_err"]
     for t in range(args.trials):
         for rotation in ("grid-z", "haar"):
             rep = equivariance_trial(
@@ -85,7 +88,8 @@ def _cmd_equiv_check(args) -> int:
                 bandwidth=args.bandwidth,
                 n_points=args.points,
             )
-            print(f"{t},{rotation},{rep['max_abs_err']:.12e},{rep['mean_abs_err']:.12e}")
+            rows.append(f"{t},{rotation},{rep['max_abs_err']:.12e},{rep['mean_abs_err']:.12e}")
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -414,6 +414,8 @@ def toy_synth(
 ) -> list[ToyCloud]:
     """Labeled synthetic clouds: surface samples plus optional Gaussian noise,
     normalized into the unit ball.  Exactly ``n_per_class`` clouds per class."""
+    if n_per_class < 1:
+        raise InputFormatError(f"n_per_class (--n) must be >= 1, got {n_per_class}")
     if n_points < 64:
         raise InputFormatError(f"n_points must be >= 64, got {n_points}")
     unknown = [c for c in classes if c not in _SAMPLERS]

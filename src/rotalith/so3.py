@@ -196,11 +196,6 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     return S2Signal(B, out_dir.reshape(n, n, c_out))
 
 
-def _spectral_multipliers(L: int) -> np.ndarray:
-    l = np.concatenate([[l] * (2 * l + 1) for l in range(L + 1)])
-    return 1.0 / np.sqrt(4.0 * np.pi * (2 * l + 1))
-
-
 def _svc_output_coeffs(g: S2Signal, psi: SphericalFilter) -> np.ndarray:
     B = g.bandwidth
     if psi.bandwidth != B:
@@ -209,13 +204,13 @@ def _svc_output_coeffs(g: S2Signal, psi: SphericalFilter) -> np.ndarray:
         raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={psi.c_in}")
     L = psi.degree
     g_hat = sh.sh_analysis(g.data, B, L)  # (ncoeff, C_in)
-    zonal = np.stack(
-        [psi.coeffs[sh.coeff_index(l, 0)] for l in range(L + 1)]
-    )  # (L+1, C_out, C_in)
-    l_of = np.concatenate([[l] * (2 * l + 1) for l in range(L + 1)])
-    mult = _spectral_multipliers(L)
-    # out_lm[c_out] = sum_cin g_lm[cin] * psi_l0[c_out, cin] * mult_l
-    return np.einsum("ki,koi,k->ko", g_hat, zonal[l_of], mult)
+    out = np.empty((g_hat.shape[0], psi.c_out))
+    # out_lm[c_out] = sum_cin g_lm[cin] * psi_l0[c_out, cin] / sqrt(4 pi (2l + 1))
+    for l in range(L + 1):
+        rows = slice(l * l, (l + 1) * (l + 1))
+        zonal = psi.coeffs[sh.coeff_index(l, 0)] / np.sqrt(4.0 * np.pi * (2 * l + 1))
+        np.matmul(g_hat[rows], zonal.T, out=out[rows])
+    return out
 
 
 def svc_sphere(g: S2Signal, psi: SphericalFilter) -> S2Signal:
@@ -280,6 +275,6 @@ def equivariance_report(
     out_hat = _svc_output_coeffs(gamma_average(f), psi)
     rotated = sh.grid_dirs(B) @ np.asarray(Q, dtype=float).T  # Q @ dir per row
     lhs = sh.sh_eval(out_hat_rot, rotated)  # [psi * L_Q f](Q p)
-    rhs = sh.grid_basis(B, psi.degree) @ out_hat
+    rhs = sh.sh_synthesis(out_hat, B).reshape(lhs.shape)
     err = np.abs(lhs - rhs)
     return {"max_abs_err": float(err.max()), "mean_abs_err": float(err.mean())}

@@ -134,6 +134,21 @@ def test_equiv_check_sprin_rows(capsys):
         assert float(mx) <= 1e-5
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--pipeline", "prin", "--trials", "1", "--bandwidth", "1"),
+        ("--pipeline", "sprin", "--trials", "1", "--points", "3"),
+        ("--pipeline", "sprin", "--trials", "0"),
+    ],
+)
+def test_equiv_check_invalid_input_exits_2_without_output(capsys, argv):
+    code, stdout, err = run_cli(capsys, "equiv-check", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("rotalith: ")
+
+
 def test_features_and_match_self(cloud_file, tmp_path, capsys):
     fa = tmp_path / "a.rtlh"
     code, _, _ = run_cli(
@@ -301,6 +316,22 @@ def test_bench_csv(capsys):
     assert lines[-1].startswith("# mean=")
 
 
+def test_bench_svc_b64_stays_within_memory(capsys):
+    # a dense (4B^2) x B^2 grid basis at B=64 alone would take 512 MiB
+    tracemalloc.start()
+    try:
+        code, stdout, _ = run_cli(
+            capsys, "bench", "--op", "svc", "--impl", "spectral", "--bandwidth", "64",
+            "--repeat", "1",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len([l for l in stdout.splitlines() if l.startswith("svc,spectral,64,")]) == 1
+    assert peak < 128 << 20
+
+
 @pytest.mark.parametrize("bandwidth, repeat", [("0", "2"), ("2", "0"), ("2", "-2")])
 def test_bench_rejects_non_positive_sizes_exit_2(capsys, bandwidth, repeat):
     code, stdout, err = run_cli(
@@ -330,6 +361,15 @@ def test_toy_small_run(capsys):
     )
     assert code == 0
     assert "nr_accuracy=" in stdout and "ar_accuracy=" in stdout and "gap=" in stdout
+
+
+def test_toy_zero_clouds_exits_2(capsys):
+    code, stdout, err = run_cli(
+        capsys, "toy", "--classes", "sphere,cube", "--n", "0", "--points", "128",
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "--n" in err
 
 
 def test_toy_divergence_exits_3(capsys):

@@ -54,10 +54,43 @@ def test_real_sh_against_scipy():
 
 @pytest.mark.parametrize("B", [4, 8, 16])
 def test_basis_orthonormal_under_quadrature(B):
-    Y = sh.grid_basis(B, B - 1)
+    Y = sh.sh_basis(B - 1, sh.grid_dirs(B))
     w = sh.grid_area_weights(B).reshape(-1, 1)
     gram = Y.T @ (w * Y)
     assert np.abs(gram - np.eye(Y.shape[1])).max() < 1e-12
+
+
+_TRANSFORM_CASES = [(B, L) for B in (2, 3, 4, 8, 16, 32) for L in sorted({0, B // 2, B - 1})]
+
+
+@pytest.mark.parametrize("B, L", _TRANSFORM_CASES)
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_transforms_match_dense_basis(B, L, lead):
+    # oracle: the basis matrix at the grid nodes, weighted by the quadrature
+    Y = sh.sh_basis(L, sh.grid_dirs(B))
+    w = sh.grid_area_weights(B).reshape(-1, 1)
+    rng = np.random.default_rng(100 * B + L)
+    f = rng.standard_normal((2 * B, 2 * B) + lead)
+    c = rng.standard_normal((sh.n_coeffs(L),) + lead)
+    coeffs = sh.sh_analysis(f, B, L)
+    values = sh.sh_synthesis(c, B)
+    assert coeffs.shape == c.shape and values.shape == f.shape
+    ref_coeffs = (Y.T @ (w * f.reshape(4 * B * B, -1))).reshape(c.shape)
+    ref_values = (Y @ c.reshape(c.shape[0], -1)).reshape(f.shape)
+    assert np.abs(coeffs - ref_coeffs).max() <= 1e-12 * np.abs(ref_coeffs).max()
+    assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+
+
+@pytest.mark.parametrize("B, shift", [(5, 1), (8, 3)])
+def test_alpha_roll_commutes_with_band_limit_projection(B, shift):
+    # a roll by whole grid steps is a z-rotation, which keeps every degree
+    f = np.random.default_rng(B).standard_normal((2 * B, 2 * B, 2))
+
+    def project(v):
+        return sh.sh_synthesis(sh.sh_analysis(v, B, B - 1), B)
+
+    rolled_first = project(np.roll(f, shift, axis=0))
+    assert np.abs(rolled_first - np.roll(project(f), shift, axis=0)).max() < 1e-13
 
 
 def test_analysis_of_constant_and_zonal_degree_one():

@@ -225,6 +225,7 @@ def test_svc_spectral_is_sphere_kernel_of_gamma_average():
     assert np.array_equal(svc_spectral(f, psi).data, kernel.data)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svc_sphere_rejects_non_finite_output():
     B = 4
     coeffs = random_filter(B, 11).coeffs.copy()
