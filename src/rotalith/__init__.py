@@ -34,15 +34,12 @@ from .so3 import (
     filter_eval,
     gamma_average,
     rotate_grid,
-    shells_to_channels,
     svc_bruteforce,
     svc_spectral,
     svc_sphere,
 )
 from .resample import bilinear_sample, trilinear_sample
 from .sprin import (
-    MlpFilter,
-    SprinLayerCfg,
     dilated_knn,
     farthest_point_sampling,
     knn_table,

@@ -133,16 +133,27 @@ def _read_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _archive_labels(path, flag: str, rows: int) -> np.ndarray:
+    labels = _read_labels(path)
+    if len(labels) != rows:
+        raise InputFormatError(f"{path}: {flag} has {len(labels)} labels for {rows} archive rows")
+    return labels
+
+
 def _cmd_match(args) -> int:
     fa = read_archive(args.a)
     fb = read_archive(args.b)
     if "features" not in fa or "features" not in fb:
         raise InputFormatError("archives must contain a 'features' tensor")
-    la = _read_labels(args.labels_a) if args.labels_a else None
-    lb = _read_labels(args.labels_b) if args.labels_b else None
-    idx, acc = match_descriptors(
-        Descriptor(fa["features"]), Descriptor(fb["features"]), la, lb
-    )
+    da, db = Descriptor(fa["features"]), Descriptor(fb["features"])
+    if bool(args.labels_a) != bool(args.labels_b):
+        given = args.labels_a or args.labels_b
+        raise InputFormatError(f"{given}: accuracy needs both --labels-a and --labels-b")
+    la = lb = None
+    if args.labels_a:
+        la = _archive_labels(args.labels_a, "--labels-a", len(da.feats))
+        lb = _archive_labels(args.labels_b, "--labels-b", len(db.feats))
+    idx, acc = match_descriptors(da, db, la, lb)
     if acc is not None:
         print(f"accuracy {acc:.6f}")
     print("index,match")

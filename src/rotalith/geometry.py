@@ -27,8 +27,6 @@ TWO_PI = 2.0 * np.pi
 # sin(beta) below this means the ZYZ parametrization is at its singular set
 GIMBAL_EPS = 1e-9
 
-NORTH_POLE = np.array([0.0, 0.0, 1.0])
-
 
 class SphericalPoint(NamedTuple):
     """Ball coordinates (alpha, beta, h); entries may be scalars or arrays."""

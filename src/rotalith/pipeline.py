@@ -18,14 +18,8 @@ import numpy as np
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
-from .so3 import SphericalFilter, gamma_average, shells_to_channels, svc_sphere
-from .sprin import (
-    MlpFilter,
-    SprinLayerCfg,
-    correlate_at,
-    farthest_point_sampling,
-    knn_table,
-)
+from .so3 import SphericalFilter, gamma_average, svc_sphere
+from .sprin import correlate_at, farthest_point_sampling, knn_table
 from .voxelize import SamplingConfig, _point_chunks, normalize_cloud, voxelize
 from . import harmonics as sh
 
@@ -40,7 +34,6 @@ class PrinConfig:
     svc_channels: int = 40
     conv_channels: tuple[int, ...] = (40, 50)
     fc_widths: tuple[int, ...] = (50, 50)
-    shells_as_channels: bool = False
 
     def __post_init__(self):
         if self.bandwidth < 2:
@@ -50,8 +43,7 @@ class PrinConfig:
 
     @property
     def layer_channels(self) -> tuple[int, ...]:
-        c0 = 2 * self.bandwidth if self.shells_as_channels else 1
-        return (c0, self.svc_channels) + self.conv_channels
+        return (1, self.svc_channels) + self.conv_channels
 
 
 @dataclass
@@ -77,7 +69,6 @@ class SprinConfig:
     channels: int = 64
     cls_head: tuple[int, ...] = (256, 64)
     seg_head: tuple[int, ...] = (128, 256)
-    aggregate: str = "mean"
 
     def __post_init__(self):
         n_down = sum(1 for m, _ in self.encoder if m is not None)
@@ -154,30 +145,42 @@ def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
 
 
 def _mlp_layers(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(W, b)`` pairs stored under ``prefix``; missing or non-finite weights raise."""
+    """The ``(W, b)`` pairs stored under ``prefix``, read and checked once.
+
+    Each ``W`` must be ``(out, in)`` with ``in`` the previous layer's ``out``,
+    and each ``b`` ``(out,)``.  A missing, non-finite or mis-shaped entry
+    raises a ValueError that names its key.
+    """
     layers = []
     j = 0
     while f"{prefix}_w{j}" in weights:
-        for key in (f"{prefix}_w{j}", f"{prefix}_b{j}"):
-            if key not in weights:
-                raise ValueError(f"weights are missing {key!r}")
-            if not np.all(np.isfinite(weights[key])):
+        w_key, b_key = f"{prefix}_w{j}", f"{prefix}_b{j}"
+        if b_key not in weights:
+            raise ValueError(f"weights are missing {b_key!r}")
+        W, b = np.asarray(weights[w_key]), np.asarray(weights[b_key])
+        for key, arr in ((w_key, W), (b_key, b)):
+            if not np.all(np.isfinite(arr)):
                 raise ValueError(f"weight {key!r} holds non-finite entries")
-        layers.append((np.asarray(weights[f"{prefix}_w{j}"]), np.asarray(weights[f"{prefix}_b{j}"])))
+        if W.ndim != 2:
+            raise ValueError(f"weight {w_key!r} has shape {W.shape}, want (out, in)")
+        if layers and W.shape[1] != layers[-1][0].shape[0]:
+            raise ValueError(
+                f"weight {w_key!r} takes {W.shape[1]} inputs, the previous layer gives "
+                f"{layers[-1][0].shape[0]}"
+            )
+        if b.shape != (W.shape[0],):
+            raise ValueError(f"weight {b_key!r} has shape {b.shape}, want ({W.shape[0]},)")
+        layers.append((W, b))
         j += 1
     if not layers:
         raise ValueError(f"no weights found under prefix {prefix!r}")
     return layers
 
 
-def _head_apply(weights: dict, prefix: str, x: np.ndarray) -> np.ndarray:
+def _head_apply(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
     """FC head: rectifier after every layer, including the last."""
-    j = 0
-    while f"{prefix}_w{j}" in weights:
-        x = np.maximum(x @ weights[f"{prefix}_w{j}"].T + weights[f"{prefix}_b{j}"], 0.0)
-        j += 1
-    if j == 0:
-        raise ValueError(f"no weights found under prefix {prefix!r}")
+    for W, b in layers:
+        x = np.maximum(x @ W.T + b, 0.0)
     return x
 
 
@@ -199,21 +202,17 @@ def prin_forward(
 
     Correlation outputs are constant along the radial axis, so activations
     are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
-    over its radial bins once by :func:`~rotalith.so3.gamma_average` (or, with
-    ``shells_as_channels``, its bins become channels through
-    :func:`~rotalith.so3.shells_to_channels`), and per-point features are
-    read by bilinear interpolation on the sphere and fed to the per-point
-    head in chunks of rows.
+    over its radial bins once by :func:`~rotalith.so3.gamma_average`, and
+    per-point features are read by bilinear interpolation on the sphere and
+    fed to the per-point head in chunks of rows.
 
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
     """
     points = np.asarray(points, dtype=float)
-    for head in ("pp", "gl"):  # checked once here, not per read-out chunk
-        _mlp_layers(weights, head)
+    pp, gl = _mlp_layers(weights, "pp"), _mlp_layers(weights, "gl")
     B = cfg.bandwidth
-    grid = voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode))
-    act = shells_to_channels(grid) if cfg.shells_as_channels else gamma_average(grid)
+    act = gamma_average(voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)))
     chans = cfg.layer_channels
     nc = sh.n_coeffs(B - 1)
     n_layers = len(chans) - 1
@@ -233,11 +232,11 @@ def prin_forward(
     alpha, beta, _ = cart_to_spherical(points)
     per_point = None
     for chunk in _point_chunks(points.shape[0], 8 * chans[-1]):
-        feats = _head_apply(weights, "pp", bilinear_sample(act.data, B, alpha[chunk], beta[chunk]))
+        feats = _head_apply(pp, bilinear_sample(act.data, B, alpha[chunk], beta[chunk]))
         if per_point is None:  # the head's width comes from its weights
             per_point = np.empty((points.shape[0], feats.shape[1]))
         per_point[chunk] = feats
-    global_feat = _head_apply(weights, "gl", act.data.max(axis=(0, 1)))
+    global_feat = _head_apply(gl, act.data.max(axis=(0, 1)))
     return per_point, global_feat
 
 
@@ -284,10 +283,10 @@ def sprin_forward(
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
     points = np.asarray(points, dtype=float)
-    for head in ("cls", "seg"):
-        _mlp_layers(weights, head)
     rng = np.random.default_rng(seed)
     enc, dec = _sparse_plan(cfg)
+    filters = {layer.key: _mlp_layers(weights, layer.key) for layer in enc + dec}
+    cls, seg = _mlp_layers(weights, "cls"), _mlp_layers(weights, "seg")
     k_max: dict[tuple[int, int], int] = {}
     for layer in enc + dec:
         pair = (layer.centers, layer.source)
@@ -300,9 +299,10 @@ def sprin_forward(
         pair = (layer.centers, layer.source)
         if pair not in tables:
             tables[pair] = knn_table(src, ctr, k_max[pair])
-        lcfg = SprinLayerCfg(k=layer.k, d=layer.d, aggregate=cfg.aggregate)
-        filt = MlpFilter(_mlp_layers(weights, layer.key))
-        return correlate_at(src, feats, ctr, tables[pair], filt, lcfg, rng, src.mean(axis=0))
+        return correlate_at(
+            src, feats, ctr, tables[pair], filters[layer.key], layer.k, layer.d, rng,
+            src.mean(axis=0),
+        )
 
     feats = None
     for layer in enc:
@@ -312,11 +312,11 @@ def sprin_forward(
         feats = correlate(layer, feats)
 
     pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
-    global_feat = _head_apply(weights, "cls", pooled)
+    global_feat = _head_apply(cls, pooled)
 
     for layer in dec:
         feats = correlate(layer, feats)
-    per_point = _head_apply(weights, "seg", feats)
+    per_point = _head_apply(seg, feats)
     return per_point, global_feat
 
 
@@ -334,13 +334,18 @@ def match_descriptors(
     """Nearest-neighbor match of each row of ``da`` into ``db``.
 
     Returns the index map and, when both label arrays are given, the fraction
-    of matches whose labels agree.
+    of matches whose labels agree.  Squared distances are formed for chunks
+    of rows of ``da``, each within the dense chunk budget.
     """
     if da.channels != db.channels:
         raise ValueError(f"channel mismatch: {da.channels} vs {db.channels}")
     a, b = da.feats, db.feats
-    d2 = np.einsum("ik,ik->i", a, a)[:, None] - 2.0 * a @ b.T + np.einsum("jk,jk->j", b, b)[None, :]
-    idx = np.argmin(d2, axis=1)
+    bb = np.einsum("jk,jk->j", b, b)[None, :]
+    idx = np.empty(a.shape[0], dtype=np.int64)
+    for rows in _point_chunks(a.shape[0], 8 * b.shape[0]):
+        ar = a[rows]
+        d2 = np.einsum("ik,ik->i", ar, ar)[:, None] - 2.0 * ar @ b.T + bb
+        idx[rows] = np.argmin(d2, axis=1)
     acc = None
     if labels_a is not None and labels_b is not None:
         acc = float(np.mean(np.asarray(labels_b)[idx] == np.asarray(labels_a)))
@@ -623,6 +628,12 @@ def toy_protocol(
     """
     if pipeline not in ("prin", "sprin"):
         raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
+    if epochs < 1:
+        raise InputFormatError(f"epochs (--epochs) must be >= 1, got {epochs}")
+    if len(classes) < 2 or len(set(classes)) != len(classes):
+        raise InputFormatError(
+            f"classes (--classes) must name at least two distinct classes, got {list(classes)}"
+        )
     clouds = toy_synth(classes, n_per_class, n_points, noise_sigma, seed)
     if pipeline == "sprin":
         cfg = sprin_cfg if sprin_cfg is not None else SprinConfig()

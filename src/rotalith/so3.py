@@ -232,17 +232,6 @@ def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     return svc_sphere(gamma_average(f), psi)
 
 
-def shells_to_channels(grid: SphericalGrid) -> S2Signal:
-    """Reinterpret the radial bins of a grid as channels.
-
-    The result is a sphere signal with ``2B * C`` channels in ``(h, C)``
-    order, so subsequent correlations keep the radial profile instead of
-    averaging it away.  Its data is a view of ``grid.data``.
-    """
-    n = 2 * grid.bandwidth
-    return S2Signal(grid.bandwidth, grid.data.reshape(n, n, n * grid.channels))
-
-
 def rotate_grid(f: SphericalGrid, Q: np.ndarray, L: int | None = None) -> SphericalGrid:
     """Exact spectral rotation of a band-limited grid signal.
 

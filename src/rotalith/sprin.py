@@ -17,8 +17,6 @@ identically rather than approximately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
@@ -28,41 +26,6 @@ _DEGENERATE_SIDE = 1e-12
 
 # byte budget of one chunk's centers x N x 3 float64 difference tensor in knn_table
 _KNN_CHUNK_BYTES = 8 << 20
-
-
-@dataclass
-class SprinLayerCfg:
-    """Neighborhood size k, dilation rate d, and the neighbor aggregation."""
-
-    k: int
-    d: int = 1
-    aggregate: str = "mean"
-
-    def __post_init__(self):
-        if self.k < 1 or self.d < 1:
-            raise ValueError(f"need k >= 1 and d >= 1, got k={self.k}, d={self.d}")
-        if self.aggregate not in ("mean", "max"):
-            raise ValueError(f"aggregate must be 'mean' or 'max', got {self.aggregate!r}")
-
-
-@dataclass
-class MlpFilter:
-    """Fully connected filter: rectifier between layers, linear output."""
-
-    layers: list[tuple[np.ndarray, np.ndarray]] = field(repr=False)
-
-    def __post_init__(self):
-        prev = None
-        for W, b in self.layers:
-            if W.ndim != 2 or b.shape != (W.shape[0],):
-                raise ValueError("each layer needs W of shape (out, in) and b of shape (out,)")
-            if prev is not None and W.shape[1] != prev:
-                raise ValueError(f"layer input width {W.shape[1]} does not match previous output {prev}")
-            prev = W.shape[0]
-
-    @property
-    def in_width(self) -> int:
-        return self.layers[0][0].shape[1]
 
 
 def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -202,30 +165,36 @@ def correlate_at(
     source_feats: np.ndarray | None,
     center_pos: np.ndarray,
     neighbors: np.ndarray,
-    filt: MlpFilter,
-    cfg: SprinLayerCfg,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    k: int,
+    d: int,
     rng: np.random.Generator,
     centroid: np.ndarray,
 ) -> np.ndarray:
     """Shared core: correlate center positions against a source cloud.
 
     ``neighbors`` is a :func:`knn_table` of the centers into the source with
-    at least ``cfg.k`` columns; its first ``cfg.k`` columns are used.
-    The result equals running ``filt`` on ``[invariants || features]`` per
-    pair, but only the invariants' part of the first layer, the hidden
-    layers and, under ``max``, the last layer run per pair.
+    at least ``k`` columns; its first ``k`` columns are used, thinned to a
+    random ``ceil(k/d)``-subset per center when ``d > 1``.  ``layers`` is the
+    filter's ``(W, b)`` list: rectifier between layers, linear output.
+    The result equals the mean over neighbors of the filter run on
+    ``[invariants || features]`` per pair, but only the invariants' part of
+    the first layer and the hidden layers run per pair.
     """
+    if k < 1 or d < 1:
+        raise ValueError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
     expected = 8 + (0 if source_feats is None else source_feats.shape[1])
-    if filt.in_width != expected:
-        raise ValueError(f"filter expects input width {filt.in_width}, features give {expected}")
-    if neighbors.shape[1] < cfg.k:
-        raise ValueError(f"k={cfg.k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
-    nbr = neighbors[:, : cfg.k]
-    if cfg.d != 1:
-        nbr = np.stack([_dilated_subset(row, cfg.k, cfg.d, rng) for row in nbr])
+    in_width = layers[0][0].shape[1]
+    if in_width != expected:
+        raise ValueError(f"filter expects input width {in_width}, features give {expected}")
+    if neighbors.shape[1] < k:
+        raise ValueError(f"k={k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
+    nbr = neighbors[:, :k]
+    if d != 1:
+        nbr = np.stack([_dilated_subset(row, k, d, rng) for row in nbr])
     inv = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
     # first layer: the feature columns and the bias act once per source point
-    (W0, b0), *rest = filt.layers
+    (W0, b0), *rest = layers
     if source_feats is None:
         h = inv @ W0.T + b0
     else:
@@ -233,12 +202,10 @@ def correlate_at(
         h += (source_feats @ W0[:, 8:].T + b0)[nbr]
     for i, (W, b) in enumerate(rest, start=1):
         np.maximum(h, 0.0, out=h)
-        if i == len(rest) and cfg.aggregate == "mean":
+        if i == len(rest):
             # the output layer is affine, so it commutes with the mean
             return h.mean(axis=1) @ W.T + b
         h = h @ W.T + b
-    if cfg.aggregate == "max":
-        return h.max(axis=1)
     return h.mean(axis=1)
 
 
@@ -246,22 +213,22 @@ def sparse_correlate(
     points: np.ndarray,
     in_feats: np.ndarray | None,
     centers: np.ndarray,
-    filt: MlpFilter,
-    cfg: SprinLayerCfg,
+    layers: list[tuple[np.ndarray, np.ndarray]],
+    k: int,
+    d: int,
     rng,
 ) -> np.ndarray:
     """Empirical filter expectation over dilated kNN neighborhoods.
 
     ``out(x_j) = mean over selected neighbors x_i of
-    filt([invariants(x_i, x_j, centroid) || in_feats(x_i)])`` for each center
-    index ``x_j``; the centroid is the mean of ``points``.
+    filter([invariants(x_i, x_j, centroid) || in_feats(x_i)])`` for each
+    center index ``x_j``; the centroid is the mean of ``points``.
     """
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=np.int64)
     rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     center_pos = points[centers]
     return correlate_at(
-        points, in_feats, center_pos, knn_table(points, center_pos, cfg.k), filt, cfg, rng,
+        points, in_feats, center_pos, knn_table(points, center_pos, k), layers, k, d, rng,
         points.mean(axis=0),
     )
-

@@ -397,3 +397,76 @@ def test_seeded_commands_are_deterministic(cloud_file, tmp_path, capsys):
                                "--seed", "11")
         outputs.append(stdout)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "pipeline,key,shape",
+    [("prin", "pp_w1", (50, 49)), ("sprin", "seg_b0", (127,)), ("sprin", "enc0_0_w1", (64, 63))],
+    ids=["pp_w1", "seg_b0", "enc0_0_w1"],
+)
+def test_features_mis_shaped_mlp_weights_exit_2(cloud_file, tmp_path, capsys, pipeline, key, shape):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import PrinConfig, SprinConfig, init_weights
+
+    weights = init_weights(PrinConfig(bandwidth=4) if pipeline == "prin" else SprinConfig(), 0)
+    weights[key] = np.ones(shape)
+    wpath = tmp_path / "bad_w.rtlh"
+    write_archive(wpath, weights)
+    out = tmp_path / "f.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", pipeline, "--bandwidth", "4", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert repr(key) in err
+
+
+@pytest.fixture()
+def feature_archives(tmp_path):
+    from rotalith.io import write_archive
+
+    rng = np.random.default_rng(0)
+    fa, fb = tmp_path / "a.rtlh", tmp_path / "b.rtlh"
+    write_archive(fa, {"features": rng.standard_normal((10, 4))})
+    write_archive(fb, {"features": rng.standard_normal((12, 4))})
+    return fa, fb
+
+
+@pytest.mark.parametrize(
+    "counts,message",
+    [
+        ((10, 5), "--labels-b has 5 labels for 12 archive rows"),
+        ((11, 12), "--labels-a has 11 labels for 10 archive rows"),
+        ((10, None), "needs both --labels-a and --labels-b"),
+    ],
+    ids=["short-b", "long-a", "lone-a"],
+)
+def test_match_labels_must_fit_archives_exit_2(feature_archives, tmp_path, capsys, counts, message):
+    argv = ["match", "--a", str(feature_archives[0]), "--b", str(feature_archives[1])]
+    for side, n in zip("ab", counts):
+        if n is not None:
+            path = tmp_path / f"labels_{side}.txt"
+            path.write_text("\n".join(["1"] * n) + "\n")
+            argv += [f"--labels-{side}", str(path)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert message in err
+    assert str(tmp_path / ("labels_b.txt" if counts == (10, 5) else "labels_a.txt")) in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--classes", "sphere,cube", "--epochs", "0"), "--epochs"),
+        (("--classes", "sphere"), "--classes"),
+        (("--classes", "sphere,sphere"), "--classes"),
+    ],
+    ids=["zero-epochs", "one-class", "repeated-class"],
+)
+def test_toy_rejects_degenerate_protocol_exit_2(capsys, argv, flag):
+    code, stdout, err = run_cli(capsys, "toy", "--n", "2", "--points", "128", *argv)
+    assert code == 2
+    assert stdout == ""
+    assert flag in err

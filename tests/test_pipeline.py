@@ -1,5 +1,7 @@
 """End-to-end pipelines: invariance, matching, toy data, and the trained head."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rotalith.errors import InputFormatError, NumericError
 from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
 from rotalith.pipeline import (
     _head_apply,
+    _mlp_layers,
     Descriptor,
     PrinConfig,
     SprinConfig,
@@ -25,7 +28,7 @@ from rotalith.pipeline import (
     train_head,
 )
 from rotalith.resample import trilinear_sample
-from rotalith.so3 import SphericalFilter, shells_to_channels, svc_spectral
+from rotalith.so3 import SphericalFilter, svc_spectral
 from rotalith.voxelize import SamplingConfig, SphericalGrid, voxelize
 
 
@@ -124,8 +127,6 @@ def _ball_prin_forward(points, weights, cfg):
     """The dense path composed on the (2B)^3 ball: every activation is a
     radially constant grid and per-point features are read trilinearly."""
     grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
-    if cfg.shells_as_channels:
-        grid = _radially_constant(shells_to_channels(grid))
     n_layers = len(cfg.layer_channels) - 1
     for li in range(n_layers):
         psi = SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"])
@@ -133,15 +134,15 @@ def _ball_prin_forward(points, weights, cfg):
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
     alpha, beta, h = cart_to_spherical(points)
-    per_point = _head_apply(weights, "pp", trilinear_sample(grid, alpha, beta, h))
-    global_feat = _head_apply(weights, "gl", grid.data.max(axis=(0, 1, 2)))
+    per_point = _head_apply(_mlp_layers(weights, "pp"), trilinear_sample(grid, alpha, beta, h))
+    global_feat = _head_apply(_mlp_layers(weights, "gl"), grid.data.max(axis=(0, 1, 2)))
     return per_point, global_feat
 
 
-@pytest.mark.parametrize("shells", [False, True], ids=["mean", "shells"])
-@pytest.mark.parametrize("B", [4, 8])
-def test_prin_sphere_path_matches_ball_composition(B, shells):
-    cfg = PrinConfig(bandwidth=B, xi=0.1, shells_as_channels=shells)
+# "mean": the voxel grid enters the first layer averaged over its radial bins
+@pytest.mark.parametrize("B", [4, 8], ids=lambda B: f"{B}-mean")
+def test_prin_sphere_path_matches_ball_composition(B):
+    cfg = PrinConfig(bandwidth=B, xi=0.1)
     w = init_weights(cfg, 3)
     pts = blob_cloud(4000, 9)
     per_point, global_feat = prin_forward(pts, w, cfg)
@@ -153,18 +154,17 @@ def test_prin_sphere_path_matches_ball_composition(B, shells):
         assert np.abs(out - ref).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("shells", [False, True], ids=["mean", "shells"])
-def test_prin_chunked_read_out_is_exact(shells, monkeypatch):
-    cfg = PrinConfig(bandwidth=4, xi=0.1, shells_as_channels=shells)
+def test_prin_chunked_read_out_is_exact(monkeypatch):
+    cfg = PrinConfig(bandwidth=4, xi=0.1)
     w = init_weights(cfg, 2)
     pts = blob_cloud(1000, 5)
     ref_pp, ref_g = prin_forward(pts, w, cfg)
     head_rows = []
 
-    def counting_head(weights, prefix, x):
-        if prefix == "pp":
+    def counting_head(layers, x):
+        if x.ndim == 2:  # the per-point head; the global head gets one vector
             head_rows.append(x.shape[0])
-        return _head_apply(weights, prefix, x)
+        return _head_apply(layers, x)
 
     monkeypatch.setattr(pipeline_module, "_head_apply", counting_head)
     # 150 and 400 rows of 50 float64 channels: ragged chunks of 142/143 and 333/334
@@ -184,16 +184,6 @@ def test_prin_non_finite_layer_output_raises():
     w["svc1"][0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         prin_forward(blob_cloud(128, 0), w, cfg)
-
-
-def test_prin_shells_as_channels_runs_and_differs():
-    cfg_flat = PrinConfig(bandwidth=4)
-    cfg_shell = PrinConfig(bandwidth=4, shells_as_channels=True)
-    pts = blob_cloud(512, 2)
-    out_flat, _ = prin_forward(pts, init_weights(cfg_flat, 0), cfg_flat)
-    out_shell, _ = prin_forward(pts, init_weights(cfg_shell, 0), cfg_shell)
-    assert out_flat.shape == out_shell.shape
-    assert np.abs(out_flat - out_shell).max() > 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +263,36 @@ def test_match_identity_and_permutation():
 def test_match_channel_mismatch():
     with pytest.raises(ValueError):
         match_descriptors(Descriptor(np.zeros((3, 4))), Descriptor(np.zeros((3, 5))))
+
+
+def _unchunked_match(a, b):
+    d2 = np.einsum("ik,ik->i", a, a)[:, None] - 2.0 * a @ b.T + np.einsum("jk,jk->j", b, b)[None, :]
+    return np.argmin(d2, axis=1)
+
+
+def test_match_chunks_agree_with_unchunked(monkeypatch):
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((500, 6)), rng.standard_normal((90, 6))
+    # 64 rows of 90 float64 distances: eight ragged chunks of 62 or 63 rows
+    monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 8 * 90 * 64)
+    idx, _ = match_descriptors(Descriptor(a), Descriptor(b))
+    assert np.array_equal(idx, _unchunked_match(a, b))
+
+
+def test_match_stays_within_memory():
+    # one 6000 x 6000 float64 distance matrix alone would take 275 MiB
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((6000, 50))
+    perm = rng.permutation(6000)
+    da, db = Descriptor(a), Descriptor(a[perm])
+    tracemalloc.start()
+    try:
+        idx, _ = match_descriptors(da, db)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    assert np.array_equal(perm[idx], np.arange(6000))
 
 
 def test_sprin_self_matching_under_rotation():

@@ -12,7 +12,6 @@ from rotalith.so3 import (
     filter_eval,
     gamma_average,
     rotate_grid,
-    shells_to_channels,
     svc_bruteforce,
     svc_spectral,
     svc_sphere,
@@ -300,12 +299,3 @@ def test_equivariance_report_haar():
         worst = max(worst, rep["max_abs_err"])
     assert worst < 1e-5
 
-
-def test_shells_to_channels_shape_and_content():
-    B = 3
-    grid = band_limited_grid(B, 0, channels=2)
-    out = shells_to_channels(grid)
-    assert out.data.shape == (6, 6, 12)
-    for h in range(6):
-        for c in range(2):
-            assert np.array_equal(out.data[:, :, 2 * h + c], grid.data[:, :, h, c])

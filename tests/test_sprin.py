@@ -7,8 +7,6 @@ import rotalith.pipeline as pipeline
 import rotalith.sprin as sprin
 from rotalith.geometry import random_rotation
 from rotalith.sprin import (
-    MlpFilter,
-    SprinLayerCfg,
     correlate_at,
     dilated_knn,
     farthest_point_sampling,
@@ -236,14 +234,14 @@ def _filter(widths, seed):
     for w_in, w_out in zip(widths[:-1], widths[1:]):
         W = rng.standard_normal((w_out, w_in)) * np.sqrt(2.0 / w_in)
         layers.append((W, 0.1 * rng.standard_normal(w_out)))
-    return MlpFilter(layers)
+    return layers
 
 
 def _mlp_apply(filt, x):
     """The filter on inputs of shape ``(..., in_width)``, one row at a time: the per-pair oracle."""
     y = np.asarray(x, dtype=float)
-    last = len(filt.layers) - 1
-    for i, (W, b) in enumerate(filt.layers):
+    last = len(filt) - 1
+    for i, (W, b) in enumerate(filt):
         y = y @ W.T + b
         if i != last:
             y = np.maximum(y, 0.0)
@@ -253,16 +251,15 @@ def _mlp_apply(filt, x):
 def test_constant_filter_gives_constant_output():
     pts = _cloud(4, 30)
     v = np.array([1.0, -2.0, 3.0])
-    filt = MlpFilter([(np.zeros((3, 8)), v)])
-    cfg = SprinLayerCfg(k=8, d=1)
-    out = sparse_correlate(pts, None, np.arange(30), filt, cfg, 0)
+    filt = [(np.zeros((3, 8)), v)]
+    out = sparse_correlate(pts, None, np.arange(30), filt, 8, 1, 0)
     assert np.abs(out - v).max() < 1e-12
 
 
 def test_single_point_cloud():
     pt = np.array([[0.2, 0.1, -0.3]])
     filt = _filter((8, 16, 4), 0)
-    out = sparse_correlate(pt, None, np.array([0]), filt, SprinLayerCfg(k=1), 0)
+    out = sparse_correlate(pt, None, np.array([0]), filt, 1, 1, 0)
     expected = _mlp_apply(filt, relative_invariants(pt[0], pt[0], pt[0]))
     assert np.abs(out[0] - expected).max() < 1e-12
 
@@ -270,12 +267,12 @@ def test_single_point_cloud():
 def test_sparse_correlate_rotation_invariance():
     pts = _cloud(5, 48)
     filt = _filter((8, 32, 16), 1)
-    cfg = SprinLayerCfg(k=12, d=1)
-    base = sparse_correlate(pts, None, np.arange(48), filt, cfg, 0)
+    k = 12
+    base = sparse_correlate(pts, None, np.arange(48), filt, k, 1, 0)
     rng = np.random.default_rng(9)
     for _ in range(5):
         Q = random_rotation(rng)
-        rot = sparse_correlate(pts @ Q.T, None, np.arange(48), filt, cfg, 0)
+        rot = sparse_correlate(pts @ Q.T, None, np.arange(48), filt, k, 1, 0)
         rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
         assert rel.max() < 1e-5
 
@@ -284,17 +281,17 @@ def test_sparse_correlate_with_features_width_check():
     pts = _cloud(6, 20)
     feats = np.random.default_rng(0).standard_normal((20, 5))
     filt = _filter((8 + 5, 16, 4), 2)
-    out = sparse_correlate(pts, feats, np.arange(20), filt, SprinLayerCfg(k=6), 0)
+    out = sparse_correlate(pts, feats, np.arange(20), filt, 6, 1, 0)
     assert out.shape == (20, 4)
     with pytest.raises(ValueError):
-        sparse_correlate(pts, feats, np.arange(20), _filter((8, 8, 4), 0), SprinLayerCfg(k=6), 0)
+        sparse_correlate(pts, feats, np.arange(20), _filter((8, 8, 4), 0), 6, 1, 0)
 
 
 def test_mean_aggregation_bound():
     pts = _cloud(7, 40)
     filt = _filter((8, 16, 3), 3)
-    cfg = SprinLayerCfg(k=10, d=1)
-    out = sparse_correlate(pts, None, np.arange(40), filt, cfg, 0)
+    k = 10
+    out = sparse_correlate(pts, None, np.arange(40), filt, k, 1, 0)
     centroid = pts.mean(axis=0)
     for j in range(0, 40, 7):
         idx = dilated_knn(pts, j, 10, 1, np.random.default_rng(0))
@@ -306,41 +303,41 @@ def test_mean_aggregation_bound():
 def test_permutation_equivariance():
     pts = _cloud(8, 32)
     filt = _filter((8, 16, 8), 4)
-    cfg = SprinLayerCfg(k=8, d=1)
-    out = sparse_correlate(pts, None, np.arange(32), filt, cfg, 0)
+    k = 8
+    out = sparse_correlate(pts, None, np.arange(32), filt, k, 1, 0)
     perm = np.random.default_rng(1).permutation(32)
-    out_p = sparse_correlate(pts[perm], None, np.arange(32), filt, cfg, 0)
+    out_p = sparse_correlate(pts[perm], None, np.arange(32), filt, k, 1, 0)
     assert np.abs(out_p - out[perm]).max() < 1e-12
 
 
-def test_max_aggregation_flag():
+@pytest.mark.parametrize("k, d", [(0, 1), (4, 0)])
+def test_correlate_at_rejects_non_positive_k_and_d(k, d):
     pts = _cloud(9, 16)
-    filt = _filter((8, 8, 2), 5)
-    mean_out = sparse_correlate(pts, None, np.arange(16), filt, SprinLayerCfg(k=5), 0)
-    max_out = sparse_correlate(pts, None, np.arange(16), filt, SprinLayerCfg(k=5, aggregate="max"), 0)
-    assert np.all(max_out >= mean_out - 1e-12)
+    table = knn_table(pts, pts, 4)
+    with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
+        correlate_at(pts, None, pts, table, _filter((8, 8, 2), 5), k, d, None, pts.mean(axis=0))
 
 
 # set abstraction (FPS centers, then correlate at them) and feature
 # propagation (correlate finer points against a coarser featured cloud), built
 # from the kernels sprin_forward calls
-def _propagate(up, down, down_feats, filt, cfg):
+def _propagate(up, down, down_feats, filt, k):
     rng = np.random.default_rng(0)
-    table = knn_table(down, up, cfg.k)
-    return correlate_at(down, down_feats, up, table, filt, cfg, rng, down.mean(axis=0))
+    table = knn_table(down, up, k)
+    return correlate_at(down, down_feats, up, table, filt, k, 1, rng, down.mean(axis=0))
 
 
 def test_set_abstraction_reduces_to_correlate_and_single_center():
     pts = _cloud(10, 24)
     filt = _filter((8, 16, 6), 6)
-    cfg = SprinLayerCfg(k=6, d=1)
+    k = 6
     idx = farthest_point_sampling(pts, 24)
     assert sorted(idx.tolist()) == list(range(24))
-    feats = sparse_correlate(pts, None, idx, filt, cfg, 0)
-    direct = sparse_correlate(pts, None, np.arange(24), filt, cfg, 0)
+    feats = sparse_correlate(pts, None, idx, filt, k, 1, 0)
+    direct = sparse_correlate(pts, None, np.arange(24), filt, k, 1, 0)
     assert np.abs(feats - direct[idx]).max() < 1e-12
     one = farthest_point_sampling(pts, 1)
-    one_feat = sparse_correlate(pts, None, one, filt, cfg, 0)
+    one_feat = sparse_correlate(pts, None, one, filt, k, 1, 0)
     assert one.shape == (1,) and one_feat.shape == (1, 6)
     assert np.abs(one_feat[0] - direct[one[0]]).max() < 1e-12
 
@@ -349,14 +346,14 @@ def test_feature_propagation_reduces_and_single_down_point():
     pts = _cloud(11, 20)
     feats = np.random.default_rng(2).standard_normal((20, 4))
     filt = _filter((8 + 4, 16, 6), 7)
-    cfg = SprinLayerCfg(k=5, d=1)
-    via_fp = _propagate(pts, pts, feats, filt, cfg)
-    via_sc = sparse_correlate(pts, feats, np.arange(20), filt, cfg, 0)
+    k = 5
+    via_fp = _propagate(pts, pts, feats, filt, k)
+    via_sc = sparse_correlate(pts, feats, np.arange(20), filt, k, 1, 0)
     assert np.abs(via_fp - via_sc).max() < 1e-12
 
     down = pts[:1]
     dfeat = feats[:1]
-    out = _propagate(pts, down, dfeat, filt, SprinLayerCfg(k=1, d=1))
+    out = _propagate(pts, down, dfeat, filt, 1)
     for j in (0, 7, 19):
         inv = relative_invariants(down[0], pts[j], down.mean(axis=0))
         expected = _mlp_apply(filt, np.concatenate([inv, dfeat[0]]))
@@ -366,12 +363,12 @@ def test_feature_propagation_reduces_and_single_down_point():
 def test_set_abstraction_rotation_invariance():
     pts = _cloud(14, 40)
     filt = _filter((8, 16, 6), 9)
-    cfg = SprinLayerCfg(k=8, d=1)
+    k = 8
     idx = farthest_point_sampling(pts, 12)
-    feats = sparse_correlate(pts, None, idx, filt, cfg, 0)
+    feats = sparse_correlate(pts, None, idx, filt, k, 1, 0)
     Q = random_rotation(6)
     idx_r = farthest_point_sampling(pts @ Q.T, 12)
-    feats_r = sparse_correlate(pts @ Q.T, None, idx_r, filt, cfg, 0)
+    feats_r = sparse_correlate(pts @ Q.T, None, idx_r, filt, k, 1, 0)
     assert np.array_equal(idx_r, idx)  # same centers selected
     rel = np.linalg.norm(feats_r - feats, axis=1) / np.maximum(np.linalg.norm(feats, axis=1), 1e-30)
     assert rel.max() < 1e-5
@@ -383,31 +380,29 @@ def test_feature_propagation_rotation_invariance():
     up = _cloud(13, 50)
     feats = rng.standard_normal((30, 4))
     filt = _filter((8 + 4, 16, 6), 8)
-    cfg = SprinLayerCfg(k=8, d=1)
-    base = _propagate(up, down, feats, filt, cfg)
+    k = 8
+    base = _propagate(up, down, feats, filt, k)
     Q = random_rotation(4)
-    rot = _propagate(up @ Q.T, down @ Q.T, feats, filt, cfg)
+    rot = _propagate(up @ Q.T, down @ Q.T, feats, filt, k)
     rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
     assert rel.max() < 1e-5
 
 
 # ---------------------------------------------------------------------------
 # per-pair oracle: correlate_at splits the filter at its linear ends (first
-# layer per source point, last layer per center under the mean); the oracle
+# layer per source point, last layer per center on the mean); the oracle
 # concatenates [invariants || features] and runs the whole filter per pair
 # ---------------------------------------------------------------------------
 
 
-def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, cfg, rng, centroid):
-    nbr = neighbors[:, : cfg.k]
-    if cfg.d != 1:  # one ceil(k/d)-draw per center row, in row order
-        need = -(-cfg.k // cfg.d)
-        nbr = np.stack([row[rng.choice(cfg.k, size=need, replace=False)] for row in nbr])
+def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, k, d, rng, centroid):
+    nbr = neighbors[:, :k]
+    if d != 1:  # one ceil(k/d)-draw per center row, in row order
+        nbr = np.stack([row[rng.choice(k, size=-(-k // d), replace=False)] for row in nbr])
     x = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
     if source_feats is not None:
         x = np.concatenate([x, source_feats[nbr]], axis=-1)
-    y = _mlp_apply(filt, x)
-    return y.max(axis=1) if cfg.aggregate == "max" else y.mean(axis=1)
+    return _mlp_apply(filt, x).mean(axis=1)
 
 
 ORACLE_CLOUDS = {
@@ -422,31 +417,28 @@ def _assert_rel_close(got, ref, tol=1e-12):
     assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("aggregate", ["mean", "max"])
-@pytest.mark.parametrize("d", [1, 2, 3])
+# "mean": the layer output is the mean over the selected neighbors
+@pytest.mark.parametrize("d", [1, 2, 3], ids=lambda d: f"{d}-mean")
 @pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS))
-def test_correlate_at_matches_per_pair_oracle(cloud, d, aggregate):
+def test_correlate_at_matches_per_pair_oracle(cloud, d):
     pts = ORACLE_CLOUDS[cloud]
     centers = pts[::3]
-    cfg = SprinLayerCfg(k=12, d=d, aggregate=aggregate)
     table = knn_table(pts, centers, 15)  # wider than k: only the first k columns are read
     feats = np.random.default_rng(4).standard_normal((len(pts), 5))
     for seed, hidden in enumerate([(), (16,), (16, 12)]):
         for f in (None, feats):
             filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
-            args = (pts, f, centers, table, filt, cfg)
+            args = (pts, f, centers, table, filt, 12, d)
             got = correlate_at(*args, np.random.default_rng(9), pts.mean(axis=0))
             ref = _correlate_oracle(*args, np.random.default_rng(9), pts.mean(axis=0))
             _assert_rel_close(got, ref)
 
 
-@pytest.mark.parametrize("aggregate", ["mean", "max"])
-@pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS))
-def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud, aggregate):
+@pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS), ids=lambda c: f"{c}-mean")
+def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud):
     pts = ORACLE_CLOUDS[cloud]
     for d in (1, 2, 3):
         cfg = pipeline.small_sprin_config(k=12, d=d, m=40)
-        cfg.aggregate = aggregate
         weights = pipeline.init_weights(cfg, d)
         rng = np.random.default_rng(d)
         for key in weights:  # nonzero biases, so a misplaced bias shows
