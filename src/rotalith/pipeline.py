@@ -144,10 +144,11 @@ def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
-def _mlp_layers(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
+def _mlp_layers(weights: dict, prefix: str, inputs: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``(W, b)`` pairs stored under ``prefix``, read and checked once.
 
-    Each ``W`` must be ``(out, in)`` with ``in`` the previous layer's ``out``,
+    Each ``W`` must be ``(out, in)`` with ``in`` the previous layer's ``out``
+    (``inputs``, the width of the features fed to it, for the first layer),
     and each ``b`` ``(out,)``.  A missing, non-finite or mis-shaped entry
     raises a ValueError that names its key.
     """
@@ -163,11 +164,10 @@ def _mlp_layers(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray
                 raise ValueError(f"weight {key!r} holds non-finite entries")
         if W.ndim != 2:
             raise ValueError(f"weight {w_key!r} has shape {W.shape}, want (out, in)")
-        if layers and W.shape[1] != layers[-1][0].shape[0]:
-            raise ValueError(
-                f"weight {w_key!r} takes {W.shape[1]} inputs, the previous layer gives "
-                f"{layers[-1][0].shape[0]}"
-            )
+        fed = layers[-1][0].shape[0] if layers else inputs
+        if W.shape[1] != fed:
+            source = "the previous layer gives" if layers else "its features give"
+            raise ValueError(f"weight {w_key!r} takes {W.shape[1]} inputs, {source} {fed}")
         if b.shape != (W.shape[0],):
             raise ValueError(f"weight {b_key!r} has shape {b.shape}, want ({W.shape[0]},)")
         layers.append((W, b))
@@ -180,7 +180,9 @@ def _mlp_layers(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray
 def _head_apply(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
     """FC head: rectifier after every layer, including the last."""
     for W, b in layers:
-        x = np.maximum(x @ W.T + b, 0.0)
+        x = x @ W.T
+        x += b
+        np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -202,40 +204,46 @@ def prin_forward(
 
     Correlation outputs are constant along the radial axis, so activations
     are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
-    over its radial bins once by :func:`~rotalith.so3.gamma_average`, and
-    per-point features are read by bilinear interpolation on the sphere and
-    fed to the per-point head in chunks of rows.
+    over its radial bins once by :func:`~rotalith.so3.gamma_average`.  The
+    per-point head's first layer is affine and the bilinear weights sum to
+    1, so it runs once per sphere cell, before the read-out; each chunk of
+    rows is then read by bilinear interpolation and fed to the rest of the
+    head.
 
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
     """
     points = np.asarray(points, dtype=float)
-    pp, gl = _mlp_layers(weights, "pp"), _mlp_layers(weights, "gl")
     B = cfg.bandwidth
-    act = gamma_average(voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)))
     chans = cfg.layer_channels
     nc = sh.n_coeffs(B - 1)
-    n_layers = len(chans) - 1
-    for li in range(n_layers):
-        key = f"svc{li}"
+    filters = []
+    for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
+        key, shape = f"svc{li}", (nc, c_out, c_in)
         if key not in weights:
             raise ValueError(f"weights are missing {key!r}; config/weight mismatch")
         coeffs = np.asarray(weights[key])
-        if coeffs.shape != (nc, chans[li + 1], chans[li]):
-            raise ValueError(
-                f"{key} has shape {coeffs.shape}, config wants {(nc, chans[li + 1], chans[li])}"
-            )
-        act = svc_sphere(act, SphericalFilter(B, coeffs=coeffs))
-        if li != n_layers - 1:
+        if coeffs.shape != shape:
+            raise ValueError(f"{key} has shape {coeffs.shape}, config wants {shape}")
+        filters.append(SphericalFilter(B, coeffs=coeffs))
+    pp, gl = _mlp_layers(weights, "pp", chans[-1]), _mlp_layers(weights, "gl", chans[-1])
+    act = gamma_average(voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)))
+    for li, psi in enumerate(filters):
+        act = svc_sphere(act, psi)
+        if li != len(filters) - 1:
             np.maximum(act.data, 0.0, out=act.data)
-    # read-out and head per chunk of rows, each within the dense chunk budget
+    (W0, b0), *rest = pp
+    first = act.data.reshape(-1, chans[-1]) @ W0.T
+    first += b0
+    first = first.reshape(2 * B, 2 * B, -1)
+    # read-out and the rest of the head per chunk of rows, each chunk within
+    # the dense chunk budget at the widest row any head layer holds
     alpha, beta, _ = cart_to_spherical(points)
-    per_point = None
-    for chunk in _point_chunks(points.shape[0], 8 * chans[-1]):
-        feats = _head_apply(pp, bilinear_sample(act.data, B, alpha[chunk], beta[chunk]))
-        if per_point is None:  # the head's width comes from its weights
-            per_point = np.empty((points.shape[0], feats.shape[1]))
-        per_point[chunk] = feats
+    per_point = np.empty((points.shape[0], pp[-1][0].shape[0]))
+    for chunk in _point_chunks(points.shape[0], 8 * max(W.shape[0] for W, _ in pp)):
+        h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
+        np.maximum(h, 0.0, out=h)
+        per_point[chunk] = _head_apply(rest, h)
     global_feat = _head_apply(gl, act.data.max(axis=(0, 1)))
     return per_point, global_feat
 
@@ -285,8 +293,13 @@ def sprin_forward(
     points = np.asarray(points, dtype=float)
     rng = np.random.default_rng(seed)
     enc, dec = _sparse_plan(cfg)
-    filters = {layer.key: _mlp_layers(weights, layer.key) for layer in enc + dec}
-    cls, seg = _mlp_layers(weights, "cls"), _mlp_layers(weights, "seg")
+    # every filter reads 8 invariants plus the features the previous one wrote
+    filters, width = {}, 0
+    for layer in enc + dec:
+        filters[layer.key] = _mlp_layers(weights, layer.key, 8 + width)
+        width = filters[layer.key][-1][0].shape[0]
+    cls = _mlp_layers(weights, "cls", 2 * filters[enc[-1].key][-1][0].shape[0])
+    seg = _mlp_layers(weights, "seg", width)
     k_max: dict[tuple[int, int], int] = {}
     for layer in enc + dec:
         pair = (layer.centers, layer.source)

@@ -399,10 +399,21 @@ def test_seeded_commands_are_deterministic(cloud_file, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+# the last four have first layers too narrow or too wide for the features
+# they are fed: 50 channels for pp/gl, 8 invariants for enc0_0, and the
+# pooled max and mean of 64 encoder channels for cls
 @pytest.mark.parametrize(
     "pipeline,key,shape",
-    [("prin", "pp_w1", (50, 49)), ("sprin", "seg_b0", (127,)), ("sprin", "enc0_0_w1", (64, 63))],
-    ids=["pp_w1", "seg_b0", "enc0_0_w1"],
+    [
+        ("prin", "pp_w1", (50, 49)),
+        ("sprin", "seg_b0", (127,)),
+        ("sprin", "enc0_0_w1", (64, 63)),
+        ("prin", "pp_w0", (50, 49)),
+        ("prin", "gl_w0", (50, 49)),
+        ("sprin", "enc0_0_w0", (64, 9)),
+        ("sprin", "cls_w0", (256, 100)),
+    ],
+    ids=["pp_w1", "seg_b0", "enc0_0_w1", "pp_w0", "gl_w0", "enc0_0_w0", "cls_w0"],
 )
 def test_features_mis_shaped_mlp_weights_exit_2(cloud_file, tmp_path, capsys, pipeline, key, shape):
     from rotalith.io import write_archive

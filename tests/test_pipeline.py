@@ -69,6 +69,30 @@ def test_prin_weight_mismatch_raises():
         prin_forward(blob_cloud(128, 0), w, cfg)
 
 
+@pytest.mark.parametrize(
+    "pipeline,key,shape",
+    [
+        ("prin", "svc1", (16, 50, 39)),
+        ("prin", "gl_w0", (50, 49)),
+        ("sprin", "dec0_0_w0", (32, 8)),
+        ("sprin", "seg_w0", (64, 31)),
+    ],
+    ids=["svc1", "gl_w0", "dec0_0_w0", "seg_w0"],
+)
+def test_weight_errors_come_before_any_work(monkeypatch, pipeline, key, shape):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the weights were checked")
+
+    monkeypatch.setattr(pipeline_module, "voxelize", no_work)
+    monkeypatch.setattr(pipeline_module, "knn_table", no_work)
+    cfg = PrinConfig(bandwidth=4) if pipeline == "prin" else small_sprin_config()
+    forward = prin_forward if pipeline == "prin" else sprin_forward
+    w = init_weights(cfg, 0)
+    w[key] = np.ones(shape)
+    with pytest.raises(ValueError, match=key):
+        forward(blob_cloud(128, 0), w, cfg)
+
+
 # ---------------------------------------------------------------------------
 # PRIN forward
 # ---------------------------------------------------------------------------
@@ -134,16 +158,28 @@ def _ball_prin_forward(points, weights, cfg):
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
     alpha, beta, h = cart_to_spherical(points)
-    per_point = _head_apply(_mlp_layers(weights, "pp"), trilinear_sample(grid, alpha, beta, h))
-    global_feat = _head_apply(_mlp_layers(weights, "gl"), grid.data.max(axis=(0, 1, 2)))
+    c = cfg.layer_channels[-1]
+    per_point = _head_apply(_mlp_layers(weights, "pp", c), trilinear_sample(grid, alpha, beta, h))
+    global_feat = _head_apply(_mlp_layers(weights, "gl", c), grid.data.max(axis=(0, 1, 2)))
     return per_point, global_feat
 
 
-# "mean": the voxel grid enters the first layer averaged over its radial bins
-@pytest.mark.parametrize("B", [4, 8], ids=lambda B: f"{B}-mean")
-def test_prin_sphere_path_matches_ball_composition(B):
-    cfg = PrinConfig(bandwidth=B, xi=0.1)
+# "mean": the voxel grid enters the first layer averaged over its radial
+# bins; a suffix names a per-point head other than the default (50, 50),
+# whose first layer the sphere path runs before the read-out
+_BALL_CASES = [(B, fc) for B in (4, 8) for fc in ((50, 50), (50,), (200, 50), (64, 40, 30))]
+_BALL_IDS = [f"{B}-mean" + ("" if fc == (50, 50) else "-fc" + "x".join(map(str, fc)))
+             for B, fc in _BALL_CASES]
+
+
+@pytest.mark.parametrize("B,fc_widths", _BALL_CASES, ids=_BALL_IDS)
+def test_prin_sphere_path_matches_ball_composition(B, fc_widths):
+    cfg = PrinConfig(bandwidth=B, xi=0.1, fc_widths=fc_widths)
     w = init_weights(cfg, 3)
+    rng = np.random.default_rng(4)
+    for key in [k for k in w if k.startswith(("pp_b", "gl_b"))]:
+        # init_weights leaves biases at zero, which would hide a misplaced b0
+        w[key] = 0.1 * rng.standard_normal(w[key].shape)
     pts = blob_cloud(4000, 9)
     per_point, global_feat = prin_forward(pts, w, cfg)
     ref_pp, ref_g = _ball_prin_forward(pts, w, cfg)
@@ -175,6 +211,24 @@ def test_prin_chunked_read_out_is_exact(monkeypatch):
         assert len(head_rows) == n_chunks and sum(head_rows) == 1000
         assert np.array_equal(per_point, ref_pp)
         assert np.array_equal(global_feat, ref_g)
+
+
+# measured besides the output: 6.6 MiB at fc (50, 50) and 7.5 MiB at
+# (512, 50); 18.4 and 88.2 MiB with 4 MiB read-out chunks sized by the
+# last correlation's 50 channels and the head's first layer run per point
+@pytest.mark.parametrize("fc_widths", [(50, 50), (512, 50)], ids=["fc50x50", "fc512x50"])
+def test_prin_read_out_stays_within_memory(fc_widths):
+    cfg = PrinConfig(bandwidth=8, xi=0.1, fc_widths=fc_widths)
+    w = init_weights(cfg, 0)
+    pts = blob_cloud(100_000, 5)
+    prin_forward(pts[:1000], w, cfg)  # fill the Legendre table cache
+    tracemalloc.start()
+    try:
+        per_point, _ = prin_forward(pts, w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - per_point.nbytes < 10 << 20
 
 
 def test_prin_non_finite_layer_output_raises():

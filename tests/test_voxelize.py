@@ -208,5 +208,5 @@ def test_wide_window_grid_independent_of_chunk_budget(monkeypatch):
     default = voxelize(pts, B, cfg).data
     per_point = 8 * 7 * 12 * 34
     for budget in (1, 3 * per_point, 5 * per_point + 7):
-        monkeypatch.setattr(vox_module, "_CHUNK_BYTES", budget)
+        monkeypatch.setattr(vox_module, "_VOXEL_CHUNK_BYTES", budget)
         assert np.array_equal(voxelize(pts, B, cfg).data, default)
