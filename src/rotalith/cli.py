@@ -109,7 +109,7 @@ def _cmd_features(args) -> int:
     if args.pipeline == "prin":
         per_point, global_feat = prin_forward(points, weights, cfg)
     else:
-        per_point, global_feat = sprin_forward(points, weights, cfg, seed=args.seed)
+        per_point, global_feat = sprin_forward(points, weights, cfg)
     feats = global_feat[None, :] if args.mode_global else per_point
     write_archive(args.out, {"features": feats})
     print(f"pipeline={args.pipeline} rows={feats.shape[0]} channels={feats.shape[1]}")
@@ -224,7 +224,7 @@ def _cmd_fps(args) -> int:
 
 def _cmd_knn(args) -> int:
     points, _ = _load_cloud(args.infile, False)
-    idx = dilated_knn(points, args.center, args.k, args.d, np.random.default_rng(args.seed))
+    idx = dilated_knn(points, args.center, args.k, args.d)
     for i in idx:
         print(int(i))
     return EXIT_OK
@@ -298,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.set_defaults(func=_cmd_fps)
 
-    p = sub.add_parser("knn", help="dilated kNN debug utility")
+    p = sub.add_parser("knn", help="dilated kNN debug utility: every d-th of the k nearest")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="ignored; the dilation draws nothing")
     p.add_argument("--center", type=int, default=0)
     p.set_defaults(func=_cmd_knn)
 

@@ -27,6 +27,9 @@ TWO_PI = 2.0 * np.pi
 # sin(beta) below this means the ZYZ parametrization is at its singular set
 GIMBAL_EPS = 1e-9
 
+# cart_to_spherical clamps norms up to 1 + this to the unit sphere and rejects larger ones
+_BALL_TOL = 1e-9
+
 
 class SphericalPoint(NamedTuple):
     """Ball coordinates (alpha, beta, h); entries may be scalars or arrays."""
@@ -135,18 +138,18 @@ def spherical_to_cart(alpha, beta, h) -> np.ndarray:
     return np.stack([h * sb * np.cos(alpha), h * sb * np.sin(alpha), h * np.cos(beta)], axis=-1)
 
 
-def cart_to_spherical(v: np.ndarray, ball_tol: float = 1e-9) -> SphericalPoint:
+def cart_to_spherical(v: np.ndarray) -> SphericalPoint:
     """Map Euclidean points inside the unit ball to ``(alpha, beta, h)``.
 
-    Raises :class:`OutOfBallError` when any norm exceeds ``1 + ball_tol``;
-    norms in ``(1, 1 + ball_tol]`` are clamped to 1.  At the poles alpha is 0
+    Raises :class:`OutOfBallError` when any norm exceeds ``1 + _BALL_TOL``;
+    norms in ``(1, 1 + _BALL_TOL]`` are clamped to 1.  At the poles alpha is 0
     by convention, and the ball center maps to ``(0, 0, 0)``.
     """
     v = np.asarray(v, dtype=float)
     h = np.linalg.norm(v, axis=-1)
-    if np.any(h > 1.0 + ball_tol):
+    if np.any(h > 1.0 + _BALL_TOL):
         raise OutOfBallError(
-            f"point norm {h.max():.12g} exceeds 1 + {ball_tol:g}; normalize the cloud first"
+            f"point norm {h.max():.12g} exceeds 1 + {_BALL_TOL:g}; normalize the cloud first"
         )
     h = np.minimum(h, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -286,12 +286,14 @@ def sprin_forward(
     propagation decoder back to full resolution.
 
     Each (centers, source) pair of point-set levels gets one neighbor table,
-    built for the largest k any layer uses on that pair.
+    built for the largest k any layer uses on that pair.  A layer with
+    dilation d reads every d-th of its k nearest neighbors, so the output
+    depends on nothing but the cloud and the weights.  ``seed`` is ignored;
+    it stays only for callers that still pass it.
 
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
     points = np.asarray(points, dtype=float)
-    rng = np.random.default_rng(seed)
     enc, dec = _sparse_plan(cfg)
     # every filter reads 8 invariants plus the features the previous one wrote
     filters, width = {}, 0
@@ -313,8 +315,7 @@ def sprin_forward(
         if pair not in tables:
             tables[pair] = knn_table(src, ctr, k_max[pair])
         return correlate_at(
-            src, feats, ctr, tables[pair], filters[layer.key], layer.k, layer.d, rng,
-            src.mean(axis=0),
+            src, feats, ctr, tables[pair], filters[layer.key], layer.k, layer.d, src.mean(axis=0)
         )
 
     feats = None
@@ -580,15 +581,14 @@ def equivariance_trial(
     rotation: str = "haar",
     bandwidth: int = 8,
     n_points: int | None = None,
-    sprin_cfg: SprinConfig | None = None,
-    xi: float | None = None,
 ) -> dict[str, float]:
     """Compare per-point features of a cloud and its rotated copy.
 
     ``rotation`` is ``haar`` or ``grid-z`` (a z-rotation by a whole grid
-    step).  The sparse path uses a dilation-free stack so invariance is exact
-    up to float accumulation; the dense path rotates the raw cloud, so the
-    haar numbers include the sampling error of the voxelizer.
+    step).  The sparse path runs :func:`small_sprin_config`, whose invariance
+    is exact up to float accumulation; the dense path rotates the raw cloud
+    (``xi=0.1``), so the haar numbers include the sampling error of the
+    voxelizer.
     """
     rng = np.random.default_rng(seed)
     if rotation == "grid-z":
@@ -601,14 +601,14 @@ def equivariance_trial(
 
     if pipeline == "sprin":
         n = 192 if n_points is None else n_points
-        cfg = sprin_cfg if sprin_cfg is not None else small_sprin_config()
+        cfg = small_sprin_config()
         weights = init_weights(cfg, seed)
         cloud = blob_cloud(n, seed + 17)
-        base, _ = sprin_forward(cloud, weights, cfg, seed=0)
-        rot, _ = sprin_forward(cloud @ Q.T, weights, cfg, seed=0)
+        base, _ = sprin_forward(cloud, weights, cfg)
+        rot, _ = sprin_forward(cloud @ Q.T, weights, cfg)
     elif pipeline == "prin":
         n = 20000 if n_points is None else n_points
-        cfg = PrinConfig(bandwidth=bandwidth, xi=(0.1 if xi is None else xi))
+        cfg = PrinConfig(bandwidth=bandwidth, xi=0.1)
         weights = init_weights(cfg, seed)
         cloud = blob_cloud(n, seed + 17)
         base, _ = prin_forward(cloud, weights, cfg)
@@ -629,13 +629,11 @@ def toy_protocol(
     seed: int = 7,
     bandwidth: int = 8,
     mode: str = "daas",
-    noise_sigma: float = 0.01,
-    sprin_cfg: SprinConfig | None = None,
-    prin_xi: float = 0.15,
 ) -> dict[str, float]:
     """Train a head on unrotated features, evaluate on rotated test clouds.
 
-    Splits each class half/half into train and test, extracts global features
+    Draws ``n_per_class`` toy clouds per class with 0.01 Gaussian jitter,
+    splits each class half/half into train and test, extracts global features
     from the frozen backbone, and reports accuracy with no rotation (NR) and
     under per-cloud Haar rotations (AR).
     """
@@ -647,20 +645,20 @@ def toy_protocol(
         raise InputFormatError(
             f"classes (--classes) must name at least two distinct classes, got {list(classes)}"
         )
-    clouds = toy_synth(classes, n_per_class, n_points, noise_sigma, seed)
+    clouds = toy_synth(classes, n_per_class, n_points, 0.01, seed)
     if pipeline == "sprin":
-        cfg = sprin_cfg if sprin_cfg is not None else SprinConfig()
+        cfg = SprinConfig()
         weights = init_weights(cfg, seed)
 
-        def embed(pts, fseed):
-            return sprin_forward(pts, weights, cfg, seed=fseed)[1]
+        def embed(pts):
+            return sprin_forward(pts, weights, cfg)[1]
     else:
         # window width sized for desk-scale clouds: narrow default windows
         # leave a few-hundred-point cloud almost entirely in empty voxels
-        cfg = PrinConfig(bandwidth=bandwidth, mode=mode, xi=prin_xi)
+        cfg = PrinConfig(bandwidth=bandwidth, mode=mode, xi=0.15)
         weights = init_weights(cfg, seed)
 
-        def embed(pts, fseed):
+        def embed(pts):
             return prin_forward(pts, weights, cfg)[1]
 
     train_idx = [i for i in range(len(clouds)) if i % 2 == 0]
@@ -668,11 +666,11 @@ def toy_protocol(
     rot_rng = np.random.default_rng(seed + 1)
     rotations = random_rotation(rot_rng, num=len(test_idx))
 
-    train_feats = np.stack([embed(clouds[i].points, 1000 + i) for i in train_idx])
+    train_feats = np.stack([embed(clouds[i].points) for i in train_idx])
     train_labels = np.array([clouds[i].class_id for i in train_idx])
-    test_feats = np.stack([embed(clouds[i].points, 1000 + i) for i in test_idx])
+    test_feats = np.stack([embed(clouds[i].points) for i in test_idx])
     test_feats_rot = np.stack(
-        [embed(clouds[i].points @ rotations[t].T, 1000 + i) for t, i in enumerate(test_idx)]
+        [embed(clouds[i].points @ rotations[t].T) for t, i in enumerate(test_idx)]
     )
     test_labels = np.array([clouds[i].class_id for i in test_idx])
 

@@ -232,18 +232,17 @@ def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     return svc_sphere(gamma_average(f), psi)
 
 
-def rotate_grid(f: SphericalGrid, Q: np.ndarray, L: int | None = None) -> SphericalGrid:
+def rotate_grid(f: SphericalGrid, Q: np.ndarray) -> SphericalGrid:
     """Exact spectral rotation of a band-limited grid signal.
 
     Each radial shell is analyzed on the sphere and re-synthesized at the
     back-rotated grid directions, which realizes ``(L_Q f)(x) = f(Q^-1 x)``
-    exactly for signals band-limited to degree <= L.
+    exactly for signals band-limited to degree <= B - 1.
     """
     B = f.bandwidth
-    L = B - 1 if L is None else L
     n = 2 * B
     shells = f.data.reshape(n, n, -1)  # radial bins and channels flattened
-    coeffs = sh.sh_analysis(shells, B, L)
+    coeffs = sh.sh_analysis(shells, B, B - 1)
     back = sh.grid_dirs(B) @ np.asarray(Q, dtype=float)  # rows are Q^-1 @ dir
     vals = sh.sh_eval(coeffs, back)
     return SphericalGrid(B, vals.reshape(f.data.shape))

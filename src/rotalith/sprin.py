@@ -117,27 +117,19 @@ def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     return table
 
 
-def _dilated_subset(knn_idx: np.ndarray, k: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    if d == 1:
-        return knn_idx
-    need = -(-k // d)  # ceil
-    sel = rng.choice(k, size=need, replace=False)
-    return knn_idx[sel]
+def dilated_knn(points: np.ndarray, center_idx: int, k: int, d: int) -> np.ndarray:
+    """Every d-th of the k nearest neighbors of a cloud point: ceil(k/d) indices.
 
-
-def dilated_knn(points: np.ndarray, center_idx: int, k: int, d: int, rng) -> np.ndarray:
-    """A random ceil(k/d)-subset of the k nearest neighbors of a cloud point.
-
-    With d = 1 this is exactly the k nearest neighbors sorted by
-    (distance, index); the subset is deterministic given the generator state.
+    The neighbors are sorted by (distance, index) and the stride keeps
+    columns 0, d, 2d, ... (the deterministic dilated kNN of DeepGCNs); with
+    d = 1 this is exactly the k nearest neighbors.
     """
     points = np.asarray(points, dtype=float)
     if d < 1:
         raise ValueError(f"dilation rate must be >= 1, got {d}")
     if not 0 <= center_idx < points.shape[0]:
         raise ValueError(f"need 0 <= center < {points.shape[0]}, got center={center_idx}")
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    return _dilated_subset(knn_table(points, points[center_idx][None], k)[0], k, d, rng)
+    return knn_table(points, points[center_idx][None], k)[0, ::d]
 
 
 def farthest_point_sampling(points: np.ndarray, m: int, start_idx: int = 0) -> np.ndarray:
@@ -168,15 +160,14 @@ def correlate_at(
     layers: list[tuple[np.ndarray, np.ndarray]],
     k: int,
     d: int,
-    rng: np.random.Generator,
     centroid: np.ndarray,
 ) -> np.ndarray:
     """Shared core: correlate center positions against a source cloud.
 
     ``neighbors`` is a :func:`knn_table` of the centers into the source with
-    at least ``k`` columns; its first ``k`` columns are used, thinned to a
-    random ``ceil(k/d)``-subset per center when ``d > 1``.  ``layers`` is the
-    filter's ``(W, b)`` list: rectifier between layers, linear output.
+    at least ``k`` columns; every d-th of its first ``k`` columns is used,
+    ``ceil(k/d)`` neighbors per center (see :func:`dilated_knn`).  ``layers``
+    is the filter's ``(W, b)`` list: rectifier between layers, linear output.
     The result equals the mean over neighbors of the filter run on
     ``[invariants || features]`` per pair, but only the invariants' part of
     the first layer and the hidden layers run per pair.
@@ -189,9 +180,7 @@ def correlate_at(
         raise ValueError(f"filter expects input width {in_width}, features give {expected}")
     if neighbors.shape[1] < k:
         raise ValueError(f"k={k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
-    nbr = neighbors[:, :k]
-    if d != 1:
-        nbr = np.stack([_dilated_subset(row, k, d, rng) for row in nbr])
+    nbr = neighbors[:, :k:d]
     inv = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
     # first layer: the feature columns and the bias act once per source point
     (W0, b0), *rest = layers
@@ -216,7 +205,6 @@ def sparse_correlate(
     layers: list[tuple[np.ndarray, np.ndarray]],
     k: int,
     d: int,
-    rng,
 ) -> np.ndarray:
     """Empirical filter expectation over dilated kNN neighborhoods.
 
@@ -226,9 +214,6 @@ def sparse_correlate(
     """
     points = np.asarray(points, dtype=float)
     centers = np.asarray(centers, dtype=np.int64)
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     center_pos = points[centers]
-    return correlate_at(
-        points, in_feats, center_pos, knn_table(points, center_pos, k), layers, k, d, rng,
-        points.mean(axis=0),
-    )
+    table = knn_table(points, center_pos, k)
+    return correlate_at(points, in_feats, center_pos, table, layers, k, d, points.mean(axis=0))

@@ -219,11 +219,16 @@ def test_fps_and_knn_output(cloud_file, capsys):
     idx = [int(x) for x in stdout.split()]
     assert len(idx) == 5 and len(set(idx)) == 5
 
-    code, stdout, _ = run_cli(
-        capsys, "knn", "--in", str(cloud_file), "--k", "8", "--d", "2", "--seed", "3"
-    )
+    code, stdout, _ = run_cli(capsys, "knn", "--in", str(cloud_file), "--k", "8", "--d", "2")
     assert code == 0
     assert len(stdout.split()) == 4  # ceil(8/2)
+    _, nearest, _ = run_cli(capsys, "knn", "--in", str(cloud_file), "--k", "8")
+    assert stdout.split() == nearest.split()[::2]  # every second of the 8 nearest
+    # --seed is accepted and ignored
+    _, seeded, _ = run_cli(
+        capsys, "knn", "--in", str(cloud_file), "--k", "8", "--d", "2", "--seed", "3"
+    )
+    assert seeded == stdout
 
 
 @pytest.fixture()
@@ -393,8 +398,7 @@ def test_seeded_commands_are_deterministic(cloud_file, tmp_path, capsys):
 
     outputs = []
     for _ in range(2):
-        _, stdout, _ = run_cli(capsys, "knn", "--in", str(cloud_file), "--k", "6", "--d", "3",
-                               "--seed", "11")
+        _, stdout, _ = run_cli(capsys, "knn", "--in", str(cloud_file), "--k", "6", "--d", "3")
         outputs.append(stdout)
     assert outputs[0] == outputs[1]
 

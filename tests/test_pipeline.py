@@ -249,11 +249,11 @@ def test_sprin_invariance_small_stack():
     cfg = small_sprin_config()
     w = init_weights(cfg, 1)
     pts = blob_cloud(128, 3)
-    base_pp, base_g = sprin_forward(pts, w, cfg, seed=0)
+    base_pp, base_g = sprin_forward(pts, w, cfg)
     rng = np.random.default_rng(7)
     for _ in range(5):
         Q = random_rotation(rng)
-        rot_pp, rot_g = sprin_forward(pts @ Q.T, w, cfg, seed=0)
+        rot_pp, rot_g = sprin_forward(pts @ Q.T, w, cfg)
         mx, _ = relative_deviation(rot_pp, base_pp)
         assert mx < 1e-5
         assert np.linalg.norm(rot_g - base_g) / np.linalg.norm(base_g) < 1e-5
@@ -263,9 +263,9 @@ def test_sprin_invariance_default_stack_with_dilation():
     cfg = SprinConfig()
     w = init_weights(cfg, 2)
     pts = blob_cloud(256, 4)
-    base_pp, base_g = sprin_forward(pts, w, cfg, seed=3)
+    base_pp, base_g = sprin_forward(pts, w, cfg)
     Q = random_rotation(5)
-    rot_pp, rot_g = sprin_forward(pts @ Q.T, w, cfg, seed=3)
+    rot_pp, rot_g = sprin_forward(pts @ Q.T, w, cfg)
     mx, _ = relative_deviation(rot_pp, base_pp)
     assert mx < 1e-5
     assert np.linalg.norm(rot_g - base_g) / np.linalg.norm(base_g) < 1e-5
@@ -275,9 +275,9 @@ def test_sprin_permutation_equivariance():
     cfg = small_sprin_config()
     w = init_weights(cfg, 3)
     pts = blob_cloud(96, 6)
-    base_pp, base_g = sprin_forward(pts, w, cfg, seed=0)
+    base_pp, base_g = sprin_forward(pts, w, cfg)
     perm = np.random.default_rng(0).permutation(len(pts))
-    perm_pp, perm_g = sprin_forward(pts[perm], w, cfg, seed=0)
+    perm_pp, perm_g = sprin_forward(pts[perm], w, cfg)
     assert np.abs(perm_pp - base_pp[perm]).max() < 1e-9
     assert np.abs(perm_g - base_g).max() < 1e-9
 
@@ -292,8 +292,8 @@ def test_sprin_constant_filter_stack_global_independent_of_cloud():
                 w[name] = np.zeros_like(w[name])
             if name.endswith("_b1"):
                 w[name] = np.full_like(w[name], 0.7)
-    _, g1 = sprin_forward(blob_cloud(96, 1), w, cfg, seed=0)
-    _, g2 = sprin_forward(blob_cloud(96, 2), w, cfg, seed=0)
+    _, g1 = sprin_forward(blob_cloud(96, 1), w, cfg)
+    _, g2 = sprin_forward(blob_cloud(96, 2), w, cfg)
     assert np.abs(g1 - g2).max() < 1e-12
 
 
@@ -353,9 +353,9 @@ def test_sprin_self_matching_under_rotation():
     cfg = small_sprin_config()
     w = init_weights(cfg, 4)
     pts = blob_cloud(256, 9)
-    base_pp, _ = sprin_forward(pts, w, cfg, seed=0)
+    base_pp, _ = sprin_forward(pts, w, cfg)
     Q = random_rotation(10)
-    rot_pp, _ = sprin_forward(pts @ Q.T, w, cfg, seed=0)
+    rot_pp, _ = sprin_forward(pts @ Q.T, w, cfg)
     idx, _ = match_descriptors(Descriptor(rot_pp), Descriptor(base_pp))
     identity_fraction = np.mean(idx == np.arange(len(pts)))
     assert identity_fraction >= 0.99
@@ -479,7 +479,7 @@ def test_daas_accuracy_ordering_on_rotated_toy():
         for mode in ars:
             res = toy_protocol(
                 pipeline="prin", n_per_class=30, n_points=2048, epochs=300,
-                seed=seed, mode=mode, prin_xi=0.15,
+                seed=seed, mode=mode,
             )
             ars[mode].append(res["ar_accuracy"])
     assert np.mean(ars["daas"]) >= np.mean(ars["uniform"])
