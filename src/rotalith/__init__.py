@@ -44,7 +44,6 @@ from .sprin import (
     farthest_point_sampling,
     knn_table,
     relative_invariants,
-    sparse_correlate,
 )
 from .pipeline import (
     Descriptor,

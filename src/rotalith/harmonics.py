@@ -130,15 +130,6 @@ def _degree(coeffs: np.ndarray) -> int:
     return L
 
 
-def sh_basis(L: int, dirs: np.ndarray) -> np.ndarray:
-    """Real SH basis matrix at unit vectors ``(N, 3)``, shape ``(N, (L+1)^2)``."""
-    dirs = np.asarray(dirs, dtype=float)
-    out = np.empty((dirs.shape[0], n_coeffs(L)))
-    for rows, block in _sh_blocks(L, dirs):
-        out[rows] = block.T
-    return out
-
-
 def sh_eval(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Evaluate coefficients ``((L+1)^2, ...)`` at unit vectors ``(N, 3)`` -> ``(N, ...)``."""
     c = np.asarray(coeffs, dtype=float)

@@ -71,6 +71,16 @@ class SprinConfig:
     seg_head: tuple[int, ...] = (128, 256)
 
     def __post_init__(self):
+        if not self.encoder:
+            raise ValueError("encoder needs at least one stage")
+        stages = [(f"encoder stage {si}", layers) for si, (_, layers) in enumerate(self.encoder)]
+        stages += [(f"decoder stage {si}", layers) for si, layers in enumerate(self.decoder)]
+        for name, layers in stages:
+            if not layers:
+                raise ValueError(f"{name} has no layers")
+            for k, d in layers:
+                if k < 1 or d < 1:
+                    raise ValueError(f"{name}: need k >= 1 and d >= 1, got k={k}, d={d}")
         n_down = sum(1 for m, _ in self.encoder if m is not None)
         if len(self.decoder) != n_down:
             raise ValueError(
@@ -130,15 +140,14 @@ def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
         _init_mlp("gl", (chans[-1],) + cfg.fc_widths, rng, out)
         return out
     if isinstance(cfg, SprinConfig):
-        c = 0
-        for si, (_, layers) in enumerate(cfg.encoder):
-            for li in range(len(layers)):
-                _init_mlp(f"enc{si}_{li}", (8 + c, cfg.hidden, cfg.channels), rng, out)
-                c = cfg.channels
+        _, enc, dec = _sparse_plan(cfg)
+        width = 8  # the first filter reads the invariants alone
+        for layer in enc:
+            _init_mlp(layer.key, (width, cfg.hidden, cfg.channels), rng, out)
+            width = 8 + cfg.channels
         _init_mlp("cls", (2 * cfg.channels,) + cfg.cls_head, rng, out)
-        for si, layers in enumerate(cfg.decoder):
-            for li in range(len(layers)):
-                _init_mlp(f"dec{si}_{li}", (8 + cfg.channels, cfg.hidden, cfg.channels), rng, out)
+        for layer in dec:
+            _init_mlp(layer.key, (width, cfg.hidden, cfg.channels), rng, out)
         _init_mlp("seg", (cfg.channels,) + cfg.seg_head, rng, out)
         return out
     raise TypeError(f"unsupported config type {type(cfg).__name__}")
@@ -254,29 +263,29 @@ class _SparseLayer(NamedTuple):
     d: int
     centers: int  # point-set level the layer writes features at
     source: int  # point-set level it reads neighbors and features from
-    fps: int | None  # FPS sample size when this layer creates the centers' level
 
 
-def _sparse_plan(cfg: SprinConfig) -> tuple[list[_SparseLayer], list[_SparseLayer]]:
-    """Encoder and decoder layers in run order.
+def _sparse_plan(cfg: SprinConfig) -> tuple[list[int], list[_SparseLayer], list[_SparseLayer]]:
+    """FPS sample sizes, then the encoder and decoder layers in run order.
 
-    Level 0 is the input cloud; each FPS downsampling adds the next level.
+    Level 0 is the input cloud and level ``l + 1`` is ``fps[l]`` points of
+    level ``l``.  The first layer of an encoder stage reads the previous
+    level; the first layer of a decoder stage writes the next-finer one.
     """
-    enc, enc_levels, lvl = [], [], 0
+    fps, enc = [], []
     for si, (m, layers) in enumerate(cfg.encoder):
+        src = len(fps)
+        if m is not None:
+            fps.append(m)
         for li, (k, d) in enumerate(layers):
-            src, fps = lvl, (m if li == 0 else None)
-            lvl += fps is not None
-            enc.append(_SparseLayer(f"enc{si}_{li}", k, d, lvl, src, fps))
-        enc_levels.append(lvl)
-    dec, up_levels, lvl = [], enc_levels[-2::-1], enc_levels[-1]
+            enc.append(_SparseLayer(f"enc{si}_{li}", k, d, len(fps), src))
+            src = len(fps)
+    dec, lvl = [], len(fps)
     for si, layers in enumerate(cfg.decoder):
         for li, (k, d) in enumerate(layers):
-            src = lvl
-            if li == 0:
-                lvl = up_levels[si]
-            dec.append(_SparseLayer(f"dec{si}_{li}", k, d, lvl, src, None))
-    return enc, dec
+            src, lvl = lvl, lvl - (li == 0)
+            dec.append(_SparseLayer(f"dec{si}_{li}", k, d, lvl, src))
+    return fps, enc, dec
 
 
 def sprin_forward(
@@ -285,16 +294,18 @@ def sprin_forward(
     """Sparse path: encoder with set abstraction, pooled head, and a
     propagation decoder back to full resolution.
 
-    Each (centers, source) pair of point-set levels gets one neighbor table,
-    built for the largest k any layer uses on that pair.  A layer with
-    dilation d reads every d-th of its k nearest neighbors, so the output
-    depends on nothing but the cloud and the weights.  ``seed`` is ignored;
-    it stays only for callers that still pass it.
+    Runs the plan in three phases: every FPS level, then one neighbor table
+    per (centers, source) pair of levels, built for the largest k any layer
+    uses on that pair, then the encoder layers, the pooled ``cls`` head and
+    the decoder layers.  A layer with dilation d reads every d-th of its k
+    nearest neighbors, so the output depends on nothing but the cloud and
+    the weights.  ``seed`` is ignored; it stays only for callers that still
+    pass it.
 
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
     points = np.asarray(points, dtype=float)
-    enc, dec = _sparse_plan(cfg)
+    fps, enc, dec = _sparse_plan(cfg)
     # every filter reads 8 invariants plus the features the previous one wrote
     filters, width = {}, 0
     for layer in enc + dec:
@@ -302,36 +313,27 @@ def sprin_forward(
         width = filters[layer.key][-1][0].shape[0]
     cls = _mlp_layers(weights, "cls", 2 * filters[enc[-1].key][-1][0].shape[0])
     seg = _mlp_layers(weights, "seg", width)
+
+    levels = [points]
+    for m in fps:
+        prev = levels[-1]
+        levels.append(prev[farthest_point_sampling(prev, m, _canonical_fps_start(prev))])
     k_max: dict[tuple[int, int], int] = {}
     for layer in enc + dec:
         pair = (layer.centers, layer.source)
         k_max[pair] = max(k_max.get(pair, 0), layer.k)
-    level_pts = [points]
-    tables: dict[tuple[int, int], np.ndarray] = {}
-
-    def correlate(layer: _SparseLayer, feats: np.ndarray | None) -> np.ndarray:
-        src, ctr = level_pts[layer.source], level_pts[layer.centers]
-        pair = (layer.centers, layer.source)
-        if pair not in tables:
-            tables[pair] = knn_table(src, ctr, k_max[pair])
-        return correlate_at(
-            src, feats, ctr, tables[pair], filters[layer.key], layer.k, layer.d, src.mean(axis=0)
-        )
+    tables = {(c, s): knn_table(levels[s], levels[c], k) for (c, s), k in k_max.items()}
 
     feats = None
-    for layer in enc:
-        if layer.fps is not None:
-            src = level_pts[layer.source]
-            level_pts.append(src[farthest_point_sampling(src, layer.fps, _canonical_fps_start(src))])
-        feats = correlate(layer, feats)
-
-    pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
-    global_feat = _head_apply(cls, pooled)
-
-    for layer in dec:
-        feats = correlate(layer, feats)
-    per_point = _head_apply(seg, feats)
-    return per_point, global_feat
+    for i, layer in enumerate(enc + dec):
+        c, s = layer.centers, layer.source
+        feats = correlate_at(
+            levels[s], feats, levels[c], tables[c, s], filters[layer.key], layer.k, layer.d
+        )
+        if i == len(enc) - 1:
+            pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
+            global_feat = _head_apply(cls, pooled)
+    return _head_apply(seg, feats), global_feat
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,15 @@ def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.n
     c = np.asarray(c, dtype=float)
     x_i, x_j, c = np.broadcast_arrays(x_i, x_j, c)
 
+    def _angle(u, v, nu, nv):
+        d = np.einsum("...k,...k->...", u, v)
+        nn = np.maximum(nu * nv, np.finfo(float).tiny)
+        return np.arccos(np.clip(d / nn, -1.0, 1.0))
+
     ni = np.linalg.norm(x_i, axis=-1)
     nj = np.linalg.norm(x_j, axis=-1)
-    dot = np.einsum("...k,...k->...", x_i, x_j)
-    denom = ni * nj
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_rel = np.where(denom > 0.0, dot / np.maximum(denom, np.finfo(float).tiny), 1.0)
-    beta_rel = np.arccos(np.clip(cos_rel, -1.0, 1.0))
+    # a direction from the origin is undefined at the origin; beta_rel is 0 there
+    beta_rel = np.where(ni * nj > 0.0, _angle(x_i, x_j, ni, nj), 0.0)
 
     e_ij = x_j - x_i
     e_ic = c - x_i
@@ -54,12 +56,6 @@ def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.n
     s1 = np.linalg.norm(e_ij, axis=-1)
     s2 = np.linalg.norm(e_ic, axis=-1)
     s3 = np.linalg.norm(e_jc, axis=-1)
-
-    def _angle(u, v, nu, nv):
-        d = np.einsum("...k,...k->...", u, v)
-        nn = np.maximum(nu * nv, np.finfo(float).tiny)
-        return np.arccos(np.clip(d / nn, -1.0, 1.0))
-
     a1 = _angle(e_ij, e_ic, s1, s2)
     a2 = _angle(-e_ij, e_jc, s1, s3)
     a3 = _angle(-e_ic, -e_jc, s2, s3)
@@ -160,13 +156,13 @@ def correlate_at(
     layers: list[tuple[np.ndarray, np.ndarray]],
     k: int,
     d: int,
-    centroid: np.ndarray,
 ) -> np.ndarray:
-    """Shared core: correlate center positions against a source cloud.
+    """One correlation layer: center positions against a source cloud.
 
     ``neighbors`` is a :func:`knn_table` of the centers into the source with
     at least ``k`` columns; every d-th of its first ``k`` columns is used,
-    ``ceil(k/d)`` neighbors per center (see :func:`dilated_knn`).  ``layers``
+    ``ceil(k/d)`` neighbors per center (see :func:`dilated_knn`).  The
+    centroid of the invariants is the mean of ``source_points``.  ``layers``
     is the filter's ``(W, b)`` list: rectifier between layers, linear output.
     The result equals the mean over neighbors of the filter run on
     ``[invariants || features]`` per pair, but only the invariants' part of
@@ -181,6 +177,7 @@ def correlate_at(
     if neighbors.shape[1] < k:
         raise ValueError(f"k={k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
     nbr = neighbors[:, :k:d]
+    centroid = source_points.mean(axis=0)
     inv = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
     # first layer: the feature columns and the bias act once per source point
     (W0, b0), *rest = layers
@@ -196,24 +193,3 @@ def correlate_at(
             return h.mean(axis=1) @ W.T + b
         h = h @ W.T + b
     return h.mean(axis=1)
-
-
-def sparse_correlate(
-    points: np.ndarray,
-    in_feats: np.ndarray | None,
-    centers: np.ndarray,
-    layers: list[tuple[np.ndarray, np.ndarray]],
-    k: int,
-    d: int,
-) -> np.ndarray:
-    """Empirical filter expectation over dilated kNN neighborhoods.
-
-    ``out(x_j) = mean over selected neighbors x_i of
-    filter([invariants(x_i, x_j, centroid) || in_feats(x_i)])`` for each
-    center index ``x_j``; the centroid is the mean of ``points``.
-    """
-    points = np.asarray(points, dtype=float)
-    centers = np.asarray(centers, dtype=np.int64)
-    center_pos = points[centers]
-    table = knn_table(points, center_pos, k)
-    return correlate_at(points, in_feats, center_pos, table, layers, k, d, points.mean(axis=0))

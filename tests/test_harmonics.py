@@ -13,6 +13,11 @@ def _dirs(beta, alpha):
     )
 
 
+def _basis(L, dirs):
+    """The real SH basis matrix ``(N, (L+1)^2)``: sh_eval at the identity coefficients."""
+    return sh.sh_eval(np.eye(sh.n_coeffs(L)), dirs)
+
+
 def _assert_matches_scipy(Y, L, beta, alpha, tol):
     for l in range(L + 1):
         ref0 = sph_harm_y(l, 0, beta, alpha).real
@@ -48,13 +53,13 @@ def test_real_sh_against_scipy():
     beta = rng.uniform(0.05, np.pi - 0.05, 60)
     alpha = rng.uniform(0.0, 2 * np.pi, 60)
     L = 20
-    Y = sh.sh_basis(L, _dirs(beta, alpha))
+    Y = _basis(L, _dirs(beta, alpha))
     _assert_matches_scipy(Y, L, beta, alpha, 1e-12)
 
 
 @pytest.mark.parametrize("B", [4, 8, 16])
 def test_basis_orthonormal_under_quadrature(B):
-    Y = sh.sh_basis(B - 1, sh.grid_dirs(B))
+    Y = _basis(B - 1, sh.grid_dirs(B))
     w = sh.grid_area_weights(B).reshape(-1, 1)
     gram = Y.T @ (w * Y)
     assert np.abs(gram - np.eye(Y.shape[1])).max() < 1e-12
@@ -67,7 +72,7 @@ _TRANSFORM_CASES = [(B, L) for B in (2, 3, 4, 8, 16, 32) for L in sorted({0, B /
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_transforms_match_dense_basis(B, L, lead):
     # oracle: the basis matrix at the grid nodes, weighted by the quadrature
-    Y = sh.sh_basis(L, sh.grid_dirs(B))
+    Y = _basis(L, sh.grid_dirs(B))
     w = sh.grid_area_weights(B).reshape(-1, 1)
     rng = np.random.default_rng(100 * B + L)
     f = rng.standard_normal((2 * B, 2 * B) + lead)
@@ -137,7 +142,7 @@ def test_sh_basis_near_and_at_poles_against_scipy():
     beta = np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
     alpha = np.arctan2(d[:, 1], d[:, 0])
     for L in (3, 7, 15):
-        _assert_matches_scipy(sh.sh_basis(L, d), L, beta, alpha, 1e-12)
+        _assert_matches_scipy(_basis(L, d), L, beta, alpha, 1e-12)
 
 
 def test_sh_eval_matches_basis_across_chunks(monkeypatch):
@@ -146,12 +151,13 @@ def test_sh_eval_matches_basis_across_chunks(monkeypatch):
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     L = 9
     coeffs = rng.standard_normal((sh.n_coeffs(L), 2, 3))
-    basis = sh.sh_basis(L, d)
+    basis, one_block = _basis(L, d), sh.sh_eval(coeffs, d)  # 300 rows fit one block
     # 7 rows per block: 43 blocks, the last one ragged
     monkeypatch.setattr(sh, "_SH_CHUNK_BYTES", 7 * 8 * sh.n_coeffs(L))
-    assert np.array_equal(sh.sh_basis(L, d), basis)
+    assert np.array_equal(_basis(L, d), basis)
     vals = sh.sh_eval(coeffs, d)
     assert vals.shape == (300, 2, 3)
+    assert np.abs(vals - one_block).max() < 1e-12
     assert np.abs(vals - np.einsum("nk,kij->nij", basis, coeffs)).max() < 1e-12
     with pytest.raises(ValueError, match="perfect square"):
         sh.sh_eval(coeffs[:-1], d)

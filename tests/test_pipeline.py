@@ -61,6 +61,43 @@ def test_init_weights_variance_matches_fan_in():
     assert checked >= 2
 
 
+_ONE = ((8, 1),)  # a stage of one k = 8, d = 1 layer
+_NARROW = dict(hidden=8, channels=8, cls_head=(8,), seg_head=(8,))
+
+
+@pytest.mark.parametrize(
+    "encoder, decoder, match",
+    [
+        ((), (), "encoder needs at least one stage"),
+        (((None, _ONE), (16, ())), (_ONE,), "encoder stage 1 has no layers"),
+        (((None, _ONE), (16, _ONE)), ((),), "decoder stage 0 has no layers"),
+        (((None, ((0, 1),)),), (), r"encoder stage 0: need k >= 1 and d >= 1, got k=0, d=1"),
+        (((None, _ONE), (16, _ONE)), (((8, 0),),), r"decoder stage 0: need k >= 1 .* d=0"),
+        (((None, _ONE), (16, _ONE)), (), "one stage per downsampling"),
+    ],
+    ids=["no-encoder", "empty-encoder-stage", "empty-decoder-stage", "k0", "d0", "no-decoder"],
+)
+def test_sprin_config_rejects_bad_stacks(encoder, decoder, match):
+    with pytest.raises(ValueError, match=match):
+        SprinConfig(encoder=encoder, decoder=decoder, **_NARROW)
+
+
+@pytest.mark.parametrize(
+    "encoder",
+    [
+        ((16, _ONE),),  # the first stage downsamples
+        ((None, _ONE), (32, _ONE), (None, _ONE), (16, _ONE)),  # a stage keeps its level
+    ],
+    ids=["downsample-first", "keep-between"],
+)
+def test_sprin_decoder_returns_to_the_input_points(encoder):
+    # each decoder stage goes one level finer, whatever the encoder stages in between
+    n_down = sum(m is not None for m, _ in encoder)
+    cfg = SprinConfig(encoder=encoder, decoder=(_ONE,) * n_down, **_NARROW)
+    per_point, global_feat = sprin_forward(blob_cloud(100, 1), init_weights(cfg, 0), cfg)
+    assert per_point.shape == (100, 8) and global_feat.shape == (8,)
+
+
 def test_prin_weight_mismatch_raises():
     cfg = PrinConfig(bandwidth=4)
     w = init_weights(cfg, 0)

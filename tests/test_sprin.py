@@ -12,7 +12,6 @@ from rotalith.sprin import (
     farthest_point_sampling,
     knn_table,
     relative_invariants,
-    sparse_correlate,
 )
 
 
@@ -209,6 +208,41 @@ def test_sprin_forward_dilation_independent_of_seed():
     assert np.linalg.norm(rot_g - base[1]) / np.linalg.norm(base[1]) < 1e-5
 
 
+def test_sprin_forward_builds_levels_and_tables_before_any_correlation(monkeypatch):
+    calls = []
+
+    def record(name, kernel):
+        def wrapped(*args):
+            out = kernel(*args)
+            calls.append((name, args, out))
+            return out
+
+        return wrapped
+
+    for name in ("farthest_point_sampling", "knn_table", "correlate_at"):
+        monkeypatch.setattr(pipeline, name, record(name, getattr(pipeline, name)))
+    cfg = pipeline.SprinConfig()  # 2 FPS levels, 7 (centers, source) pairs, 13 layers
+    pipeline.sprin_forward(pipeline.blob_cloud(512, 3), pipeline.init_weights(cfg, 0), cfg)
+    names = [name for name, _, _ in calls]
+    assert names == ["farthest_point_sampling"] * 2 + ["knn_table"] * 7 + ["correlate_at"] * 13
+    tables = [(args, out) for name, args, out in calls if name == "knn_table"]
+    # the levels hold 512, 128 and 32 points, so sizes tell the pairs apart
+    assert len({(len(args[1]), len(args[0])) for args, _ in tables}) == 7
+    for name, args, _ in calls:
+        if name == "correlate_at":  # every layer reads one of the prebuilt tables
+            assert any(args[3] is table for _, table in tables)
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
+def test_init_weights_keys_follow_the_plan(small):
+    cfg = pipeline.small_sprin_config() if small else pipeline.SprinConfig()
+    _, enc, dec = pipeline._sparse_plan(cfg)
+    want = {f"{layer.key}_{p}{j}" for layer in enc + dec for p in "wb" for j in (0, 1)}
+    for head, widths in (("cls", cfg.cls_head), ("seg", cfg.seg_head)):
+        want |= {f"{head}_{p}{j}" for p in "wb" for j in range(len(widths))}
+    assert set(pipeline.init_weights(cfg, 0)) == want
+
+
 def test_fps_basics():
     square = np.array([[0.0, 0, 0], [1.0, 0, 0], [1.0, 1, 0], [0.0, 1, 0]])
     assert farthest_point_sampling(square, 1, 0).tolist() == [0]
@@ -266,18 +300,23 @@ def _mlp_apply(filt, x):
     return y
 
 
+def _correlate(source, feats, centers, filt, k):
+    """One d = 1 layer as sprin_forward runs it: a neighbor table, then correlate_at."""
+    return correlate_at(source, feats, centers, knn_table(source, centers, k), filt, k, 1)
+
+
 def test_constant_filter_gives_constant_output():
     pts = _cloud(4, 30)
     v = np.array([1.0, -2.0, 3.0])
     filt = [(np.zeros((3, 8)), v)]
-    out = sparse_correlate(pts, None, np.arange(30), filt, 8, 1)
+    out = _correlate(pts, None, pts, filt, 8)
     assert np.abs(out - v).max() < 1e-12
 
 
 def test_single_point_cloud():
     pt = np.array([[0.2, 0.1, -0.3]])
     filt = _filter((8, 16, 4), 0)
-    out = sparse_correlate(pt, None, np.array([0]), filt, 1, 1)
+    out = _correlate(pt, None, pt, filt, 1)
     expected = _mlp_apply(filt, relative_invariants(pt[0], pt[0], pt[0]))
     assert np.abs(out[0] - expected).max() < 1e-12
 
@@ -286,11 +325,11 @@ def test_sparse_correlate_rotation_invariance():
     pts = _cloud(5, 48)
     filt = _filter((8, 32, 16), 1)
     k = 12
-    base = sparse_correlate(pts, None, np.arange(48), filt, k, 1)
+    base = _correlate(pts, None, pts, filt, k)
     rng = np.random.default_rng(9)
     for _ in range(5):
-        Q = random_rotation(rng)
-        rot = sparse_correlate(pts @ Q.T, None, np.arange(48), filt, k, 1)
+        rot_pts = pts @ random_rotation(rng).T
+        rot = _correlate(rot_pts, None, rot_pts, filt, k)
         rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
         assert rel.max() < 1e-5
 
@@ -299,17 +338,17 @@ def test_sparse_correlate_with_features_width_check():
     pts = _cloud(6, 20)
     feats = np.random.default_rng(0).standard_normal((20, 5))
     filt = _filter((8 + 5, 16, 4), 2)
-    out = sparse_correlate(pts, feats, np.arange(20), filt, 6, 1)
+    out = _correlate(pts, feats, pts, filt, 6)
     assert out.shape == (20, 4)
     with pytest.raises(ValueError):
-        sparse_correlate(pts, feats, np.arange(20), _filter((8, 8, 4), 0), 6, 1)
+        _correlate(pts, feats, pts, _filter((8, 8, 4), 0), 6)
 
 
 def test_mean_aggregation_bound():
     pts = _cloud(7, 40)
     filt = _filter((8, 16, 3), 3)
     k = 10
-    out = sparse_correlate(pts, None, np.arange(40), filt, k, 1)
+    out = _correlate(pts, None, pts, filt, k)
     centroid = pts.mean(axis=0)
     for j in range(0, 40, 7):
         idx = dilated_knn(pts, j, 10, 1)
@@ -322,9 +361,9 @@ def test_permutation_equivariance():
     pts = _cloud(8, 32)
     filt = _filter((8, 16, 8), 4)
     k = 8
-    out = sparse_correlate(pts, None, np.arange(32), filt, k, 1)
+    out = _correlate(pts, None, pts, filt, k)
     perm = np.random.default_rng(1).permutation(32)
-    out_p = sparse_correlate(pts[perm], None, np.arange(32), filt, k, 1)
+    out_p = _correlate(pts[perm], None, pts[perm], filt, k)
     assert np.abs(out_p - out[perm]).max() < 1e-12
 
 
@@ -333,28 +372,22 @@ def test_correlate_at_rejects_non_positive_k_and_d(k, d):
     pts = _cloud(9, 16)
     table = knn_table(pts, pts, 4)
     with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
-        correlate_at(pts, None, pts, table, _filter((8, 8, 2), 5), k, d, pts.mean(axis=0))
+        correlate_at(pts, None, pts, table, _filter((8, 8, 2), 5), k, d)
 
 
 # set abstraction (FPS centers, then correlate at them) and feature
-# propagation (correlate finer points against a coarser featured cloud), built
-# from the kernels sprin_forward calls
-def _propagate(up, down, down_feats, filt, k):
-    table = knn_table(down, up, k)
-    return correlate_at(down, down_feats, up, table, filt, k, 1, down.mean(axis=0))
-
-
+# propagation (correlate finer points against a coarser featured cloud)
 def test_set_abstraction_reduces_to_correlate_and_single_center():
     pts = _cloud(10, 24)
     filt = _filter((8, 16, 6), 6)
     k = 6
     idx = farthest_point_sampling(pts, 24)
     assert sorted(idx.tolist()) == list(range(24))
-    feats = sparse_correlate(pts, None, idx, filt, k, 1)
-    direct = sparse_correlate(pts, None, np.arange(24), filt, k, 1)
+    feats = _correlate(pts, None, pts[idx], filt, k)
+    direct = _correlate(pts, None, pts, filt, k)
     assert np.abs(feats - direct[idx]).max() < 1e-12
     one = farthest_point_sampling(pts, 1)
-    one_feat = sparse_correlate(pts, None, one, filt, k, 1)
+    one_feat = _correlate(pts, None, pts[one], filt, k)
     assert one.shape == (1,) and one_feat.shape == (1, 6)
     assert np.abs(one_feat[0] - direct[one[0]]).max() < 1e-12
 
@@ -363,14 +396,9 @@ def test_feature_propagation_reduces_and_single_down_point():
     pts = _cloud(11, 20)
     feats = np.random.default_rng(2).standard_normal((20, 4))
     filt = _filter((8 + 4, 16, 6), 7)
-    k = 5
-    via_fp = _propagate(pts, pts, feats, filt, k)
-    via_sc = sparse_correlate(pts, feats, np.arange(20), filt, k, 1)
-    assert np.abs(via_fp - via_sc).max() < 1e-12
-
     down = pts[:1]
     dfeat = feats[:1]
-    out = _propagate(pts, down, dfeat, filt, 1)
+    out = _correlate(down, dfeat, pts, filt, 1)
     for j in (0, 7, 19):
         inv = relative_invariants(down[0], pts[j], down.mean(axis=0))
         expected = _mlp_apply(filt, np.concatenate([inv, dfeat[0]]))
@@ -382,10 +410,10 @@ def test_set_abstraction_rotation_invariance():
     filt = _filter((8, 16, 6), 9)
     k = 8
     idx = farthest_point_sampling(pts, 12)
-    feats = sparse_correlate(pts, None, idx, filt, k, 1)
-    Q = random_rotation(6)
-    idx_r = farthest_point_sampling(pts @ Q.T, 12)
-    feats_r = sparse_correlate(pts @ Q.T, None, idx_r, filt, k, 1)
+    feats = _correlate(pts, None, pts[idx], filt, k)
+    rot_pts = pts @ random_rotation(6).T
+    idx_r = farthest_point_sampling(rot_pts, 12)
+    feats_r = _correlate(rot_pts, None, rot_pts[idx_r], filt, k)
     assert np.array_equal(idx_r, idx)  # same centers selected
     rel = np.linalg.norm(feats_r - feats, axis=1) / np.maximum(np.linalg.norm(feats, axis=1), 1e-30)
     assert rel.max() < 1e-5
@@ -398,9 +426,9 @@ def test_feature_propagation_rotation_invariance():
     feats = rng.standard_normal((30, 4))
     filt = _filter((8 + 4, 16, 6), 8)
     k = 8
-    base = _propagate(up, down, feats, filt, k)
+    base = _correlate(down, feats, up, filt, k)
     Q = random_rotation(4)
-    rot = _propagate(up @ Q.T, down @ Q.T, feats, filt, k)
+    rot = _correlate(down @ Q.T, feats, up @ Q.T, filt, k)
     rel = np.linalg.norm(rot - base, axis=1) / np.maximum(np.linalg.norm(base, axis=1), 1e-30)
     assert rel.max() < 1e-5
 
@@ -412,10 +440,10 @@ def test_feature_propagation_rotation_invariance():
 # ---------------------------------------------------------------------------
 
 
-def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, k, d, centroid):
-    # every d-th of the k nearest, one row at a time
+def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, k, d):
+    # every d-th of the k nearest, one row at a time; the centroid is the source mean
     nbr = np.stack([[row[j] for j in range(0, k, d)] for row in neighbors])
-    x = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
+    x = relative_invariants(source_points[nbr], center_pos[:, None, :], source_points.mean(axis=0))
     if source_feats is not None:
         x = np.concatenate([x, source_feats[nbr]], axis=-1)
     return _mlp_apply(filt, x).mean(axis=1)
@@ -445,8 +473,8 @@ def test_correlate_at_matches_per_pair_oracle(cloud, d):
         for f in (None, feats):
             filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
             args = (pts, f, centers, table, filt, 12, d)
-            got = correlate_at(*args, pts.mean(axis=0))
-            ref = _correlate_oracle(*args, pts.mean(axis=0))
+            got = correlate_at(*args)
+            ref = _correlate_oracle(*args)
             _assert_rel_close(got, ref)
 
 
