@@ -20,7 +20,11 @@ from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
 from .so3 import SphericalFilter, gamma_average, svc_sphere
 from .sprin import correlate_at, farthest_point_sampling, knn_table
-from .voxelize import SamplingConfig, _point_chunks, normalize_cloud, voxelize
+from .voxelize import SamplingConfig, _cloud_array, _point_chunks, normalize_cloud
+
+# prin_forward's voxelizer stage, bound as `voxelize`: the name perfbench's
+# tracer times.  It takes the spherical coordinates the read-out reuses.
+from .voxelize import _voxelize_spherical as voxelize
 from . import harmonics as sh
 
 
@@ -81,11 +85,21 @@ class SprinConfig:
             for k, d in layers:
                 if k < 1 or d < 1:
                     raise ValueError(f"{name}: need k >= 1 and d >= 1, got k={k}, d={d}")
+        for si, (m, _) in enumerate(self.encoder):
+            if m is not None and m < 1:
+                raise ValueError(f"encoder stage {si}: need m >= 1, got m={m}")
         n_down = sum(1 for m, _ in self.encoder if m is not None)
         if len(self.decoder) != n_down:
             raise ValueError(
                 f"decoder must have one stage per downsampling, got {len(self.decoder)} for {n_down}"
             )
+        # the FPS levels have fixed sizes; only the input cloud's size varies
+        fps, enc, dec = _sparse_plan(self)
+        for what, need, lvl in _level_demands(fps, enc + dec):
+            if lvl > 0 and need > fps[lvl - 1]:
+                raise ValueError(
+                    f"{what} needs {need} points, but level {lvl} holds {fps[lvl - 1]}"
+                )
 
 
 def small_sprin_config(k: int = 16, d: int = 1, m: int = 16) -> SprinConfig:
@@ -222,7 +236,7 @@ def prin_forward(
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
     The cloud must already be normalized into the unit ball.
     """
-    points = np.asarray(points, dtype=float)
+    points = _cloud_array(points)
     B = cfg.bandwidth
     chans = cfg.layer_channels
     nc = sh.n_coeffs(B - 1)
@@ -236,7 +250,9 @@ def prin_forward(
             raise ValueError(f"{key} has shape {coeffs.shape}, config wants {shape}")
         filters.append(SphericalFilter(B, coeffs=coeffs))
     pp, gl = _mlp_layers(weights, "pp", chans[-1]), _mlp_layers(weights, "gl", chans[-1])
-    act = gamma_average(voxelize(points, B, SamplingConfig(cfg.xi, cfg.mode)))
+    # one spherical conversion serves the voxelizer and the read-out
+    alpha, beta, h = cart_to_spherical(points)
+    act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
     for li, psi in enumerate(filters):
         act = svc_sphere(act, psi)
         if li != len(filters) - 1:
@@ -247,7 +263,6 @@ def prin_forward(
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
     # the dense chunk budget at the widest row any head layer holds
-    alpha, beta, _ = cart_to_spherical(points)
     per_point = np.empty((points.shape[0], pp[-1][0].shape[0]))
     for chunk in _point_chunks(points.shape[0], 8 * max(W.shape[0] for W, _ in pp)):
         h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
@@ -288,6 +303,14 @@ def _sparse_plan(cfg: SprinConfig) -> tuple[list[int], list[_SparseLayer], list[
     return fps, enc, dec
 
 
+def _level_demands(fps: list[int], layers: list[_SparseLayer]) -> list[tuple[str, int, int]]:
+    """``(what, points, level)``: every FPS sample and every layer's k, with
+    the level whose points it draws from."""
+    demands = [(f"FPS level {lvl + 1}", m, lvl) for lvl, m in enumerate(fps)]
+    demands += [(f"layer {layer.key}", layer.k, layer.source) for layer in layers]
+    return demands
+
+
 def sprin_forward(
     points: np.ndarray, weights: dict[str, np.ndarray], cfg: SprinConfig, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -300,12 +323,20 @@ def sprin_forward(
     the decoder layers.  A layer with dilation d reads every d-th of its k
     nearest neighbors, so the output depends on nothing but the cloud and
     the weights.  ``seed`` is ignored; it stays only for callers that still
-    pass it.
+    pass it.  A cloud with fewer points than the largest FPS size or k the
+    stack draws from it raises :class:`InputFormatError` before any work.
 
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     """
-    points = np.asarray(points, dtype=float)
+    points = _cloud_array(points)
     fps, enc, dec = _sparse_plan(cfg)
+    on_input = [demand for demand in _level_demands(fps, enc + dec) if demand[2] == 0]
+    what, need, _ = max(on_input, key=lambda demand: demand[1])
+    if points.shape[0] < need:
+        raise InputFormatError(
+            f"the sparse stack needs at least {need} input points, for {what}; "
+            f"the cloud has {points.shape[0]}"
+        )
     # every filter reads 8 invariants plus the features the previous one wrote
     filters, width = {}, 0
     for layer in enc + dec:

@@ -24,8 +24,61 @@ INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
 # below this side length a triangle angle is undefined; see relative_invariants
 _DEGENERATE_SIDE = 1e-12
 
-# byte budget of one chunk's centers x N x 3 float64 difference tensor in knn_table
+# byte budget of one chunk of knn_table: its centers x N float64 squared
+# distances and one per-axis temporary of the same size
 _KNN_CHUNK_BYTES = 8 << 20
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Length of coordinate-major vectors ``u[0..2]``, added in ``np.linalg.norm``'s order."""
+    return np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of coordinate-major vectors, added in ``einsum("...k,...k")``'s order."""
+    return (u[0] * v[0] + u[2] * v[2]) + u[1] * v[1]
+
+
+def _angle(dot: np.ndarray, nu: np.ndarray, nv: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(dot / np.maximum(nu * nv, np.finfo(float).tiny), -1.0, 1.0))
+
+
+def _point_terms(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``[x, |x|, c - x, |c - x|]`` of coordinate-major points ``x`` and centroids ``c``.
+
+    Returns the 8 terms stacked on a leading axis; they depend on one point
+    each, so :func:`_invariants` can gather or broadcast them per pair.
+    """
+    x, e = np.broadcast_arrays(x, c - x)
+    return np.concatenate([x, _norm(x)[None], e, _norm(e)[None]])
+
+
+def _invariants(src: np.ndarray, cen: np.ndarray) -> np.ndarray:
+    """The 8 invariants from the :func:`_point_terms` of neighbors and centers.
+
+    ``src`` and ``cen`` broadcast against each other per pair; only the
+    center-to-neighbor edge, its length and the four dot products are
+    formed per pair.  Returns shape ``(..., 8)``.
+    """
+    x_i, ni, e_ic, s2 = src[:3], src[3], src[4:7], src[7]
+    x_j, nj, e_jc, s3 = cen[:3], cen[3], cen[4:7], cen[7]
+    e_ij = x_j - x_i
+    s1 = _norm(e_ij)
+    out = np.empty(np.broadcast_shapes(s1.shape, s2.shape, s3.shape) + (8,))
+    # a direction from the origin is undefined at the origin; beta_rel is 0 there
+    out[..., 0] = np.where(ni * nj > 0.0, _angle(_dot(x_i, x_j), ni, nj), 0.0)
+    out[..., 1] = ni
+    out[..., 2] = s1
+    out[..., 3] = s2
+    out[..., 4] = s3
+    # negating a factor or a sum is exact: these are the angles between
+    # (e_ij, e_ic), (-e_ij, e_jc) and (-e_ic, -e_jc)
+    out[..., 5] = _angle(_dot(e_ij, e_ic), s1, s2)
+    out[..., 6] = _angle(-_dot(e_ij, e_jc), s1, s3)
+    out[..., 7] = _angle(_dot(e_ic, e_jc), s2, s3)
+    degenerate = (s1 < _DEGENERATE_SIDE) | (s2 < _DEGENERATE_SIDE) | (s3 < _DEGENERATE_SIDE)
+    out[degenerate, 5:] = (0.0, np.pi / 2.0, np.pi / 2.0)
+    return out
 
 
 def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -35,36 +88,14 @@ def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.n
     ``INVARIANT_FIELDS`` order.  When a triangle side vanishes the angles are
     set to ``(0, pi/2, pi/2)`` so the map is total.
     """
-    x_i = np.asarray(x_i, dtype=float)
-    x_j = np.asarray(x_j, dtype=float)
-    c = np.asarray(c, dtype=float)
-    x_i, x_j, c = np.broadcast_arrays(x_i, x_j, c)
-
-    def _angle(u, v, nu, nv):
-        d = np.einsum("...k,...k->...", u, v)
-        nn = np.maximum(nu * nv, np.finfo(float).tiny)
-        return np.arccos(np.clip(d / nn, -1.0, 1.0))
-
-    ni = np.linalg.norm(x_i, axis=-1)
-    nj = np.linalg.norm(x_j, axis=-1)
-    # a direction from the origin is undefined at the origin; beta_rel is 0 there
-    beta_rel = np.where(ni * nj > 0.0, _angle(x_i, x_j, ni, nj), 0.0)
-
-    e_ij = x_j - x_i
-    e_ic = c - x_i
-    e_jc = c - x_j
-    s1 = np.linalg.norm(e_ij, axis=-1)
-    s2 = np.linalg.norm(e_ic, axis=-1)
-    s3 = np.linalg.norm(e_jc, axis=-1)
-    a1 = _angle(e_ij, e_ic, s1, s2)
-    a2 = _angle(-e_ij, e_jc, s1, s3)
-    a3 = _angle(-e_ic, -e_jc, s2, s3)
-    degenerate = (s1 < _DEGENERATE_SIDE) | (s2 < _DEGENERATE_SIDE) | (s3 < _DEGENERATE_SIDE)
-    a1 = np.where(degenerate, 0.0, a1)
-    a2 = np.where(degenerate, np.pi / 2.0, a2)
-    a3 = np.where(degenerate, np.pi / 2.0, a3)
-
-    return np.stack([beta_rel, ni, s1, s2, s3, a1, a2, a3], axis=-1)
+    x_i, x_j, c = (np.asarray(a, dtype=float) for a in (x_i, x_j, c))
+    ndim = max(x_i.ndim, x_j.ndim, c.ndim)
+    # coordinate-major with the leading axes aligned: x[0], x[1] and x[2]
+    # each hold one coordinate and broadcast as the (..., 3) inputs do
+    x_i, x_j, c = (
+        np.moveaxis(a.reshape((1,) * (ndim - a.ndim) + a.shape), -1, 0) for a in (x_i, x_j, c)
+    )
+    return _invariants(_point_terms(x_i, c), _point_terms(x_j, c))
 
 
 def _stable_smallest(d2: np.ndarray, k: int) -> np.ndarray:
@@ -98,17 +129,27 @@ def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     distance, index).  The order is stable, so the first k' columns are the
     k'-nearest neighbors for any k' <= k and one table serves every layer
     that correlates the same pair of point sets.  Centers are processed in
-    chunks whose ``chunk x N x 3`` difference tensor stays within
-    ``_KNN_CHUNK_BYTES`` (at least one row).
+    chunks whose ``chunk x N`` squared distances and one per-axis
+    temporary of the same size stay within ``_KNN_CHUNK_BYTES`` (at least
+    one row).
     """
     n = source.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} (the source point count), got k={k}")
     table = np.empty((centers.shape[0], k), dtype=np.int64)
-    rows = max(1, _KNN_CHUNK_BYTES // (n * 3 * 8))
+    rows = max(1, _KNN_CHUNK_BYTES // (n * 2 * 8))
+    src = np.ascontiguousarray(source.T)
     for lo in range(0, centers.shape[0], rows):
-        diff = centers[lo : lo + rows, None, :] - source[None, :, :]
-        d2 = np.einsum("cnk,cnk->cn", diff, diff)
+        cen = centers[lo : lo + rows]
+        # (dx^2 + dz^2) + dy^2 is the order einsum("cnk,cnk->cn") adds in, so
+        # these are bitwise the distances of the (rows, N, 3) difference tensor
+        d2 = np.subtract.outer(cen[:, 0], src[0])
+        d2 *= d2
+        tmp = np.subtract.outer(cen[:, 2], src[2])
+        d2 += np.square(tmp, out=tmp)
+        np.subtract.outer(cen[:, 1], src[1], out=tmp)
+        d2 += np.square(tmp, out=tmp)
+        del tmp  # freed before the selection allocates its indices
         table[lo : lo + rows] = _stable_smallest(d2, k)
     return table
 
@@ -177,8 +218,11 @@ def correlate_at(
     if neighbors.shape[1] < k:
         raise ValueError(f"k={k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
     nbr = neighbors[:, :k:d]
-    centroid = source_points.mean(axis=0)
-    inv = relative_invariants(source_points[nbr], center_pos[:, None, :], centroid)
+    centroid = source_points.mean(axis=0)[:, None]
+    # the invariants' per-point terms once per source point and per center
+    src = _point_terms(source_points.T, centroid)[:, nbr]
+    cen = _point_terms(center_pos.T, centroid)[:, :, None]
+    inv = _invariants(src, cen)
     # first layer: the feature columns and the bias act once per source point
     (W0, b0), *rest = layers
     if source_feats is None:

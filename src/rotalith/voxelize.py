@@ -85,11 +85,17 @@ class SphericalGrid:
         return self.data.shape[3]
 
 
-def normalize_cloud(points: np.ndarray) -> np.ndarray:
-    """Center a cloud on its centroid and scale it into the unit ball."""
+def _cloud_array(points: np.ndarray) -> np.ndarray:
+    """``points`` as a float array, checked to be a non-empty ``(N, 3)`` cloud."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise InputFormatError(f"expected a non-empty (N, 3) cloud, got shape {points.shape}")
+    return points
+
+
+def normalize_cloud(points: np.ndarray) -> np.ndarray:
+    """Center a cloud on its centroid and scale it into the unit ball."""
+    points = _cloud_array(points)
     if not np.isfinite(points).all():
         raise InputFormatError("cloud has non-finite coordinates")
     centered = points - points.mean(axis=0)
@@ -104,14 +110,16 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
 
     Points must already lie in the unit ball (see :func:`normalize_cloud`).
     """
-    if cfg is None:
-        cfg = SamplingConfig()
     if B < 2:
         raise InputFormatError(f"bandwidth must be >= 2, got {B}")
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
-        raise InputFormatError(f"expected a non-empty (N, 3) cloud, got shape {points.shape}")
+    alpha, beta, h = cart_to_spherical(_cloud_array(points))
+    return _voxelize_spherical(alpha, beta, h, B, SamplingConfig() if cfg is None else cfg)
 
+
+def _voxelize_spherical(
+    alpha: np.ndarray, beta: np.ndarray, h: np.ndarray, B: int, cfg: SamplingConfig
+) -> SphericalGrid:
+    """:func:`voxelize` of a cloud given by its spherical coordinates."""
     n_bins = 2 * B
     xi = cfg.xi
     d_alpha = np.pi / B
@@ -119,8 +127,6 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
     d_h = 1.0 / n_bins
     bj = beta_nodes(B)
     eta = np.sin(bj) if cfg.mode == "daas" else np.ones(n_bins)
-
-    alpha, beta, h = cart_to_spherical(points)
 
     num = np.zeros(n_bins * n_bins * n_bins)
     den = np.zeros(n_bins * n_bins * n_bins)
@@ -132,7 +138,7 @@ def voxelize(points: np.ndarray, B: int, cfg: SamplingConfig | None = None) -> S
     kc = int(np.floor(2 * xi / d_h)) + 2
 
     # a chunk's points expand to at most ka * kb * kc float64 candidates each
-    for chunk in _point_chunks(points.shape[0], 8 * ka * kb * kc, _VOXEL_CHUNK_BYTES):
+    for chunk in _point_chunks(alpha.shape[0], 8 * ka * kb * kc, _VOXEL_CHUNK_BYTES):
         a, b, r = alpha[chunk], beta[chunk], h[chunk]
 
         # alpha: unwrapped candidate indices near a / d_alpha, distance on

@@ -238,6 +238,19 @@ def cloud20_file(tmp_path):
     return path
 
 
+def test_features_sprin_too_few_points_exits_2(tmp_path, capsys):
+    # the default stack samples 128 FPS points from the input cloud
+    path = tmp_path / "cloud100.xyz"
+    write_cloud(path, blob_cloud(100, 3))
+    out = tmp_path / "f.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", "sprin", "--in", str(path), "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "at least 128 input points" in err and "FPS level 1" in err
+
+
 @pytest.mark.parametrize("start", ["50", "-1"])
 def test_fps_start_out_of_range_exits_2(cloud20_file, capsys, start):
     code, stdout, err = run_cli(capsys, "fps", "--in", str(cloud20_file), "--m", "3", "--start", start)

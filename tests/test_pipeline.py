@@ -74,8 +74,18 @@ _NARROW = dict(hidden=8, channels=8, cls_head=(8,), seg_head=(8,))
         (((None, ((0, 1),)),), (), r"encoder stage 0: need k >= 1 and d >= 1, got k=0, d=1"),
         (((None, _ONE), (16, _ONE)), (((8, 0),),), r"decoder stage 0: need k >= 1 .* d=0"),
         (((None, _ONE), (16, _ONE)), (), "one stage per downsampling"),
+        (((None, _ONE), (0, _ONE)), (_ONE,), r"encoder stage 1: need m >= 1, got m=0"),
+        (
+            ((None, _ONE), (16, _ONE), (32, _ONE)),
+            (_ONE, _ONE),
+            "FPS level 2 needs 32 points, but level 1 holds 16",
+        ),
+        (((None, _ONE), (4, _ONE)), (_ONE,), "layer dec0_0 needs 8 points, but level 1 holds 4"),
     ],
-    ids=["no-encoder", "empty-encoder-stage", "empty-decoder-stage", "k0", "d0", "no-decoder"],
+    ids=[
+        "no-encoder", "empty-encoder-stage", "empty-decoder-stage", "k0", "d0", "no-decoder",
+        "m0", "fps-above-its-level", "k-above-its-level",
+    ],
 )
 def test_sprin_config_rejects_bad_stacks(encoder, decoder, match):
     with pytest.raises(ValueError, match=match):
@@ -96,6 +106,36 @@ def test_sprin_decoder_returns_to_the_input_points(encoder):
     cfg = SprinConfig(encoder=encoder, decoder=(_ONE,) * n_down, **_NARROW)
     per_point, global_feat = sprin_forward(blob_cloud(100, 1), init_weights(cfg, 0), cfg)
     assert per_point.shape == (100, 8) and global_feat.shape == (8,)
+
+
+@pytest.mark.parametrize(
+    "cfg, n, match",
+    [
+        (SprinConfig(), 100, "at least 128 input points, for FPS level 1; the cloud has 100"),
+        (
+            SprinConfig(encoder=((None, ((20, 1),)), (8, _ONE)), decoder=(_ONE,), **_NARROW),
+            12,
+            "at least 20 input points, for layer enc0_0; the cloud has 12",
+        ),
+    ],
+    ids=["fps", "layer"],
+)
+def test_sprin_point_count_is_checked_before_any_work(monkeypatch, cfg, n, match):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the point count was checked")
+
+    monkeypatch.setattr(pipeline_module, "farthest_point_sampling", no_work)
+    monkeypatch.setattr(pipeline_module, "knn_table", no_work)
+    with pytest.raises(InputFormatError, match=match):
+        sprin_forward(blob_cloud(n, 3), init_weights(cfg, 0), cfg)
+
+
+@pytest.mark.parametrize("pipeline", ["prin", "sprin"])
+def test_forward_rejects_a_cloud_that_is_not_n_by_3(pipeline):
+    cfg = PrinConfig(bandwidth=4) if pipeline == "prin" else small_sprin_config()
+    forward = prin_forward if pipeline == "prin" else sprin_forward
+    with pytest.raises(InputFormatError, match=r"non-empty \(N, 3\) cloud"):
+        forward(blob_cloud(200, 1)[:, :2], init_weights(cfg, 0), cfg)
 
 
 def test_prin_weight_mismatch_raises():

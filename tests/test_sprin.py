@@ -1,5 +1,7 @@
 """Sparse path: invariant scalars, kNN/FPS kernels, correlation layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,19 @@ def test_knn_table_chunking(monkeypatch, budget):
     monkeypatch.setattr(sprin, "_KNN_CHUNK_BYTES", budget)
     source, centers = _cloud(25, 300), _cloud(26, 50)  # 50 is not a multiple of 7
     assert np.array_equal(knn_table(source, centers, 12), _knn_oracle(source, centers, 12))
+
+
+def test_knn_table_memory_within_chunk_budget():
+    # a chunk holds its squared distances and one per-axis temporary, never
+    # a (rows, N, 3) difference tensor
+    pts = pipeline.blob_cloud(2048, 5)
+    tracemalloc.start()
+    try:
+        table = knn_table(pts, pts, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - table.nbytes <= 1.5 * sprin._KNN_CHUNK_BYTES
 
 
 def test_knn_table_errors():
@@ -454,6 +469,95 @@ ORACLE_CLOUDS = {
     "lattice": _lattice(),
     "duplicates": np.concatenate([_cloud(22, 40)] * 3),
 }
+
+
+def _invariants_oracle(x_i, x_j, c):
+    """The invariants as trailing-axis reductions, one full (..., 3) array per term."""
+    x_i = np.asarray(x_i, dtype=float)
+    x_j = np.asarray(x_j, dtype=float)
+    c = np.asarray(c, dtype=float)
+    x_i, x_j, c = np.broadcast_arrays(x_i, x_j, c)
+
+    def _angle(u, v, nu, nv):
+        d = np.einsum("...k,...k->...", u, v)
+        nn = np.maximum(nu * nv, np.finfo(float).tiny)
+        return np.arccos(np.clip(d / nn, -1.0, 1.0))
+
+    ni = np.linalg.norm(x_i, axis=-1)
+    nj = np.linalg.norm(x_j, axis=-1)
+    beta_rel = np.where(ni * nj > 0.0, _angle(x_i, x_j, ni, nj), 0.0)
+
+    e_ij = x_j - x_i
+    e_ic = c - x_i
+    e_jc = c - x_j
+    s1 = np.linalg.norm(e_ij, axis=-1)
+    s2 = np.linalg.norm(e_ic, axis=-1)
+    s3 = np.linalg.norm(e_jc, axis=-1)
+    a1 = _angle(e_ij, e_ic, s1, s2)
+    a2 = _angle(-e_ij, e_jc, s1, s3)
+    a3 = _angle(-e_ic, -e_jc, s2, s3)
+    side = sprin._DEGENERATE_SIDE
+    degenerate = (s1 < side) | (s2 < side) | (s3 < side)
+    a1 = np.where(degenerate, 0.0, a1)
+    a2 = np.where(degenerate, np.pi / 2.0, a2)
+    a3 = np.where(degenerate, np.pi / 2.0, a3)
+
+    return np.stack([beta_rel, ni, s1, s2, s3, a1, a2, a3], axis=-1)
+
+
+def _with_origin():
+    pts = pipeline.blob_cloud(150, 2)
+    pts[6] = 0.0  # a center and its own nearest neighbor: |x_i| = |x_j| = 0
+    return pts
+
+
+INVARIANT_CASES = {
+    **{name: (pts, pts[::3]) for name, pts in ORACLE_CLOUDS.items()},
+    "origin": (_with_origin(), _with_origin()[::3]),
+    "centroid": (_lattice(5), _lattice(5)[::3]),  # odd lattice: its mean 0 is a point
+    "coincident-centers": (_cloud(30, 80), _cloud(30, 80)),
+}
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((500, 3), (500, 3), (3,)), ((7, 1, 3), (1, 9, 3), (7, 9, 3)), ((3,), (3,), (4, 1, 3))],
+    ids=["pairs", "grid", "centroids-only"],
+)
+def test_relative_invariants_broadcast_bitwise_equal_to_oracle(shapes):
+    rng = np.random.default_rng(3)
+    x_i, x_j, c = (rng.uniform(-1, 1, shape) for shape in shapes)
+    ref = _invariants_oracle(x_i, x_j, c)
+    got = relative_invariants(x_i, x_j, c)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+# bitwise: the per-point terms and the per-pair sums add in the oracle's order
+@pytest.mark.parametrize("case", list(INVARIANT_CASES))
+def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
+    pts, centers = INVARIANT_CASES[case]
+    table = knn_table(pts, centers, 15)
+    centroid = pts.mean(axis=0)
+    seen = []
+    kernel = sprin._invariants
+
+    def spy(src, cen):  # records the invariants correlate_at feeds its filter
+        seen.append(kernel(src, cen))
+        return seen[-1]
+
+    monkeypatch.setattr(sprin, "_invariants", spy)
+    for d in (1, 2, 3):
+        nbr = table[:, :12:d]
+        ref = _invariants_oracle(pts[nbr], centers[:, None, :], centroid)
+        correlate_at(pts, None, centers, table, _filter((8, 4), 0), 12, d)
+        assert seen[-1].shape == ref.shape and seen[-1].tobytes() == ref.tobytes()
+        got = relative_invariants(pts[nbr], centers[:, None, :], centroid)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert (ref[..., 2] == 0.0).any()  # a center is its own nearest neighbor: s1 = 0
+    if case == "origin":
+        assert (ref[..., 1] == 0.0).any()
+    if case == "centroid":
+        assert (ref[..., 3] == 0.0).any()
 
 
 def _assert_rel_close(got, ref, tol=1e-12):
