@@ -55,18 +55,14 @@ def coeff_index(l: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _beta_weights_cached(B: int) -> np.ndarray:
+def beta_weights(B: int) -> np.ndarray:
+    """Quadrature weights on ``beta_nodes(B)``; total mass 2 = int sin(beta); read-only."""
     bj = beta_nodes(B)
     k = np.arange(B)
     terms = np.sin((2 * k[None, :] + 1) * bj[:, None]) / (2 * k[None, :] + 1)
     w = (2.0 / B) * np.sin(bj) * terms.sum(axis=1)
     w.setflags(write=False)
     return w
-
-
-def beta_weights(B: int) -> np.ndarray:
-    """Quadrature weights on ``beta_nodes(B)``; total mass 2 = int sin(beta)."""
-    return _beta_weights_cached(B)
 
 
 def grid_area_weights(B: int) -> np.ndarray:

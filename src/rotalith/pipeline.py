@@ -135,69 +135,75 @@ class Descriptor:
 # ---------------------------------------------------------------------------
 
 
-def _init_mlp(prefix: str, widths: tuple[int, ...], rng, out: dict) -> None:
-    for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
-        out[f"{prefix}_w{j}"] = rng.standard_normal((w_out, w_in)) * np.sqrt(2.0 / w_in)
-        out[f"{prefix}_b{j}"] = np.zeros(w_out)
+def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
+    """Every weight key the config's forward pass reads, with its shape, in
+    the order :func:`init_weights` draws them.  An MLP under ``prefix``
+    holds ``prefix_w{j}`` ``(out, in)`` and ``prefix_b{j}`` ``(out,)``."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
+    def mlp(prefix: str, widths: tuple[int, ...]) -> None:
+        for j, (w_in, w_out) in enumerate(zip(widths[:-1], widths[1:])):
+            shapes[f"{prefix}_w{j}"] = (w_out, w_in)
+            shapes[f"{prefix}_b{j}"] = (w_out,)
 
-def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
-    """Seeded scaled-normal initialization for every filter and head."""
-    rng = np.random.default_rng(seed)
-    out: dict[str, np.ndarray] = {}
     if isinstance(cfg, PrinConfig):
         chans = cfg.layer_channels
         nc = sh.n_coeffs(cfg.bandwidth - 1)
         for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
-            out[f"svc{li}"] = rng.standard_normal((nc, c_out, c_in)) * np.sqrt(2.0 / c_in)
-        _init_mlp("pp", (chans[-1],) + cfg.fc_widths, rng, out)
-        _init_mlp("gl", (chans[-1],) + cfg.fc_widths, rng, out)
-        return out
-    if isinstance(cfg, SprinConfig):
+            shapes[f"svc{li}"] = (nc, c_out, c_in)
+        mlp("pp", (chans[-1],) + cfg.fc_widths)
+        mlp("gl", (chans[-1],) + cfg.fc_widths)
+    elif isinstance(cfg, SprinConfig):
         _, enc, dec = _sparse_plan(cfg)
         width = 8  # the first filter reads the invariants alone
         for layer in enc:
-            _init_mlp(layer.key, (width, cfg.hidden, cfg.channels), rng, out)
+            mlp(layer.key, (width, cfg.hidden, cfg.channels))
             width = 8 + cfg.channels
-        _init_mlp("cls", (2 * cfg.channels,) + cfg.cls_head, rng, out)
+        mlp("cls", (2 * cfg.channels,) + cfg.cls_head)  # the pooled max and mean
         for layer in dec:
-            _init_mlp(layer.key, (width, cfg.hidden, cfg.channels), rng, out)
-        _init_mlp("seg", (cfg.channels,) + cfg.seg_head, rng, out)
-        return out
-    raise TypeError(f"unsupported config type {type(cfg).__name__}")
+            mlp(layer.key, (width, cfg.hidden, cfg.channels))
+        mlp("seg", (cfg.channels,) + cfg.seg_head)
+    else:
+        raise TypeError(f"unsupported config type {type(cfg).__name__}")
+    return shapes
 
 
-def _mlp_layers(weights: dict, prefix: str, inputs: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(W, b)`` pairs stored under ``prefix``, read and checked once.
+def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
+    """Seeded scaled-normal initialization for every filter and head: normal
+    with variance 2 / fan-in (the last axis) for weights, zero biases."""
+    rng = np.random.default_rng(seed)
+    return {
+        key: rng.standard_normal(shape) * np.sqrt(2.0 / shape[-1]) if len(shape) > 1
+        else np.zeros(shape)
+        for key, shape in _weight_shapes(cfg).items()
+    }
 
-    Each ``W`` must be ``(out, in)`` with ``in`` the previous layer's ``out``
-    (``inputs``, the width of the features fed to it, for the first layer),
-    and each ``b`` ``(out,)``.  A missing, non-finite or mis-shaped entry
-    raises a ValueError that names its key.
+
+def _checked_weights(weights: dict, cfg) -> dict[str, np.ndarray]:
+    """``weights`` as arrays, checked once against :func:`_weight_shapes`.
+
+    A missing key, a key the config does not read, a shape other than the
+    config's or a non-finite entry raises a ValueError that names the key.
     """
-    layers = []
-    j = 0
-    while f"{prefix}_w{j}" in weights:
-        w_key, b_key = f"{prefix}_w{j}", f"{prefix}_b{j}"
-        if b_key not in weights:
-            raise ValueError(f"weights are missing {b_key!r}")
-        W, b = np.asarray(weights[w_key]), np.asarray(weights[b_key])
-        for key, arr in ((w_key, W), (b_key, b)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"weight {key!r} holds non-finite entries")
-        if W.ndim != 2:
-            raise ValueError(f"weight {w_key!r} has shape {W.shape}, want (out, in)")
-        fed = layers[-1][0].shape[0] if layers else inputs
-        if W.shape[1] != fed:
-            source = "the previous layer gives" if layers else "its features give"
-            raise ValueError(f"weight {w_key!r} takes {W.shape[1]} inputs, {source} {fed}")
-        if b.shape != (W.shape[0],):
-            raise ValueError(f"weight {b_key!r} has shape {b.shape}, want ({W.shape[0]},)")
-        layers.append((W, b))
-        j += 1
-    if not layers:
-        raise ValueError(f"no weights found under prefix {prefix!r}")
-    return layers
+    shapes = _weight_shapes(cfg)
+    out = {}
+    for key, shape in shapes.items():
+        if key not in weights:
+            raise ValueError(f"weights are missing {key!r}; the config wants shape {shape}")
+        arr = out[key] = np.asarray(weights[key])
+        if arr.shape != shape:
+            raise ValueError(f"weight {key!r} has shape {arr.shape}, the config wants {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"weight {key!r} holds non-finite entries")
+    for key in weights:
+        if key not in shapes:
+            raise ValueError(f"weights hold {key!r}, which the config does not read")
+    return out
+
+
+def _mlp(weights: dict, prefix: str, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(W, b)`` pairs of the ``depth``-layer MLP under ``prefix``."""
+    return [(weights[f"{prefix}_w{j}"], weights[f"{prefix}_b{j}"]) for j in range(depth)]
 
 
 def _head_apply(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
@@ -234,22 +240,17 @@ def prin_forward(
     head.
 
     Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
-    The cloud must already be normalized into the unit ball.
+    The cloud must already be normalized into the unit ball.  ``weights``
+    must hold exactly the keys and shapes :func:`init_weights` gives
+    ``cfg``, all finite; anything else raises a ValueError naming the key
+    before any work.
     """
     points = _cloud_array(points)
+    w = _checked_weights(weights, cfg)
     B = cfg.bandwidth
     chans = cfg.layer_channels
-    nc = sh.n_coeffs(B - 1)
-    filters = []
-    for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
-        key, shape = f"svc{li}", (nc, c_out, c_in)
-        if key not in weights:
-            raise ValueError(f"weights are missing {key!r}; config/weight mismatch")
-        coeffs = np.asarray(weights[key])
-        if coeffs.shape != shape:
-            raise ValueError(f"{key} has shape {coeffs.shape}, config wants {shape}")
-        filters.append(SphericalFilter(B, coeffs=coeffs))
-    pp, gl = _mlp_layers(weights, "pp", chans[-1]), _mlp_layers(weights, "gl", chans[-1])
+    filters = [SphericalFilter(B, coeffs=w[f"svc{li}"]) for li in range(len(chans) - 1)]
+    pp, gl = _mlp(w, "pp", len(cfg.fc_widths)), _mlp(w, "gl", len(cfg.fc_widths))
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
     act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
@@ -263,8 +264,8 @@ def prin_forward(
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
     # the dense chunk budget at the widest row any head layer holds
-    per_point = np.empty((points.shape[0], pp[-1][0].shape[0]))
-    for chunk in _point_chunks(points.shape[0], 8 * max(W.shape[0] for W, _ in pp)):
+    per_point = np.empty((points.shape[0], cfg.fc_widths[-1]))
+    for chunk in _point_chunks(points.shape[0], 8 * max(cfg.fc_widths)):
         h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
         np.maximum(h, 0.0, out=h)
         per_point[chunk] = _head_apply(rest, h)
@@ -327,6 +328,7 @@ def sprin_forward(
     stack draws from it raises :class:`InputFormatError` before any work.
 
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
+    ``weights`` are checked as in :func:`prin_forward`, before any work.
     """
     points = _cloud_array(points)
     fps, enc, dec = _sparse_plan(cfg)
@@ -337,13 +339,7 @@ def sprin_forward(
             f"the sparse stack needs at least {need} input points, for {what}; "
             f"the cloud has {points.shape[0]}"
         )
-    # every filter reads 8 invariants plus the features the previous one wrote
-    filters, width = {}, 0
-    for layer in enc + dec:
-        filters[layer.key] = _mlp_layers(weights, layer.key, 8 + width)
-        width = filters[layer.key][-1][0].shape[0]
-    cls = _mlp_layers(weights, "cls", 2 * filters[enc[-1].key][-1][0].shape[0])
-    seg = _mlp_layers(weights, "seg", width)
+    w = _checked_weights(weights, cfg)
 
     levels = [points]
     for m in fps:
@@ -359,12 +355,12 @@ def sprin_forward(
     for i, layer in enumerate(enc + dec):
         c, s = layer.centers, layer.source
         feats = correlate_at(
-            levels[s], feats, levels[c], tables[c, s], filters[layer.key], layer.k, layer.d
+            levels[s], feats, levels[c], tables[c, s], _mlp(w, layer.key, 2), layer.k, layer.d
         )
         if i == len(enc) - 1:
             pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
-            global_feat = _head_apply(cls, pooled)
-    return _head_apply(seg, feats), global_feat
+            global_feat = _head_apply(_mlp(w, "cls", len(cfg.cls_head)), pooled)
+    return _head_apply(_mlp(w, "seg", len(cfg.seg_head)), feats), global_feat
 
 
 # ---------------------------------------------------------------------------

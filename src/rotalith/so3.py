@@ -136,10 +136,6 @@ def _haar_weights(B: int) -> np.ndarray:
     return np.broadcast_to(wb[None, :, None], (n, n, n)) / (n * n)
 
 
-def _h_slices_equal(B: int) -> tuple[int, ...]:
-    return (0, B, 2 * B - 1)
-
-
 def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation by direct quadrature over the Euler grid.
 
@@ -176,7 +172,7 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     # the filter only ever sees (R^-1 T(p)) @ n = R^T @ (T(p) @ n); check that
     # the radial coordinate of p drops out of that argument for every slice
     u0 = euler_to_matrix(A, Bb, 0.0)[..., :, 2]
-    for k in _h_slices_equal(B):
+    for k in (0, B, 2 * B - 1):
         uk = euler_to_matrix(A, Bb, 2.0 * np.pi * sh.h_nodes(B)[k])[..., :, 2]
         spread = np.abs(uk - u0).max()
         if spread > 1e-10:

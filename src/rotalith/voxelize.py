@@ -86,18 +86,18 @@ class SphericalGrid:
 
 
 def _cloud_array(points: np.ndarray) -> np.ndarray:
-    """``points`` as a float array, checked to be a non-empty ``(N, 3)`` cloud."""
+    """``points`` as a float array, checked to be a non-empty, finite ``(N, 3)`` cloud."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise InputFormatError(f"expected a non-empty (N, 3) cloud, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise InputFormatError("cloud has non-finite coordinates")
     return points
 
 
 def normalize_cloud(points: np.ndarray) -> np.ndarray:
     """Center a cloud on its centroid and scale it into the unit ball."""
     points = _cloud_array(points)
-    if not np.isfinite(points).all():
-        raise InputFormatError("cloud has non-finite coordinates")
     centered = points - points.mean(axis=0)
     scale = np.linalg.norm(centered, axis=1).max()
     if scale == 0.0:

@@ -323,6 +323,23 @@ def test_features_missing_bias_exits_2(cloud_file, tmp_path, capsys):
     assert "cls_b0" in err
 
 
+def test_features_weights_of_another_config_exit_2(cloud_file, tmp_path, capsys):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import SprinConfig, init_weights
+
+    # the features command runs SprinConfig(), whose filters are 64 wide
+    wpath = tmp_path / "hidden32.rtlh"
+    write_archive(wpath, init_weights(SprinConfig(hidden=32), 0))
+    out = tmp_path / "f.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", "sprin", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "'enc0_0_w0'" in err and "(64, 8)" in err
+
+
 def test_bench_csv(capsys):
     code, stdout, _ = run_cli(
         capsys, "bench", "--op", "svc", "--bandwidth", "2", "--impl", "spectral", "--repeat", "2"

@@ -1,5 +1,6 @@
 """End-to-end pipelines: invariance, matching, toy data, and the trained head."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ import rotalith.voxelize as vox_module
 from rotalith.errors import InputFormatError, NumericError
 from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
 from rotalith.pipeline import (
+    _checked_weights,
     _head_apply,
-    _mlp_layers,
+    _mlp,
     Descriptor,
     PrinConfig,
     SprinConfig,
@@ -136,6 +138,8 @@ def test_forward_rejects_a_cloud_that_is_not_n_by_3(pipeline):
     forward = prin_forward if pipeline == "prin" else sprin_forward
     with pytest.raises(InputFormatError, match=r"non-empty \(N, 3\) cloud"):
         forward(blob_cloud(200, 1)[:, :2], init_weights(cfg, 0), cfg)
+    with pytest.raises(InputFormatError, match="cloud has non-finite coordinates"):
+        forward(np.full((200, 3), np.nan), init_weights(cfg, 0), cfg)
 
 
 def test_prin_weight_mismatch_raises():
@@ -146,27 +150,41 @@ def test_prin_weight_mismatch_raises():
         prin_forward(blob_cloud(128, 0), w, cfg)
 
 
+_PRIN4 = PrinConfig(bandwidth=4)
+_SMALL = small_sprin_config()
+
+
+# each case runs ``cfg`` on the weights of ``weights_cfg`` with ``edits`` applied
 @pytest.mark.parametrize(
-    "pipeline,key,shape",
+    "cfg,weights_cfg,edits,key",
     [
-        ("prin", "svc1", (16, 50, 39)),
-        ("prin", "gl_w0", (50, 49)),
-        ("sprin", "dec0_0_w0", (32, 8)),
-        ("sprin", "seg_w0", (64, 31)),
+        (_PRIN4, _PRIN4, {"svc1": np.ones((16, 50, 39))}, "svc1"),
+        (_PRIN4, _PRIN4, {"gl_w0": np.ones((50, 49))}, "gl_w0"),
+        (_SMALL, _SMALL, {"dec0_0_w0": np.ones((32, 8))}, "dec0_0_w0"),
+        (_SMALL, _SMALL, {"seg_w0": np.ones((64, 31))}, "seg_w0"),
+        (_PRIN4, PrinConfig(bandwidth=4, fc_widths=(50, 50, 30)), {}, "pp_w2"),
+        (_PRIN4, _PRIN4, {"pp_w2": np.ones((50, 50)), "pp_b2": np.zeros(50)}, "pp_w2"),
+        (_PRIN4, _PRIN4, {"features": np.ones((128, 50))}, "features"),
+        (_SMALL, dataclasses.replace(_SMALL, hidden=16), {}, "enc0_0_w0"),
+        (_SMALL, dataclasses.replace(_SMALL, channels=16), {}, "enc0_0_w1"),
+        (_SMALL, dataclasses.replace(_SMALL, cls_head=(64, 16)), {}, "cls_w1"),
+        (_SMALL, dataclasses.replace(_SMALL, seg_head=(32,)), {}, "seg_w1"),
     ],
-    ids=["svc1", "gl_w0", "dec0_0_w0", "seg_w0"],
+    ids=[
+        "svc1", "gl_w0", "dec0_0_w0", "seg_w0", "deeper-fc", "extra-layer", "unknown-key",
+        "hidden", "channels", "cls_head", "seg_head",
+    ],
 )
-def test_weight_errors_come_before_any_work(monkeypatch, pipeline, key, shape):
+def test_weight_errors_come_before_any_work(monkeypatch, cfg, weights_cfg, edits, key):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the weights were checked")
 
     monkeypatch.setattr(pipeline_module, "voxelize", no_work)
+    monkeypatch.setattr(pipeline_module, "farthest_point_sampling", no_work)
     monkeypatch.setattr(pipeline_module, "knn_table", no_work)
-    cfg = PrinConfig(bandwidth=4) if pipeline == "prin" else small_sprin_config()
-    forward = prin_forward if pipeline == "prin" else sprin_forward
-    w = init_weights(cfg, 0)
-    w[key] = np.ones(shape)
-    with pytest.raises(ValueError, match=key):
+    forward = prin_forward if isinstance(cfg, PrinConfig) else sprin_forward
+    w = {**init_weights(weights_cfg, 0), **edits}
+    with pytest.raises(ValueError, match=repr(key)):
         forward(blob_cloud(128, 0), w, cfg)
 
 
@@ -235,9 +253,9 @@ def _ball_prin_forward(points, weights, cfg):
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
     alpha, beta, h = cart_to_spherical(points)
-    c = cfg.layer_channels[-1]
-    per_point = _head_apply(_mlp_layers(weights, "pp", c), trilinear_sample(grid, alpha, beta, h))
-    global_feat = _head_apply(_mlp_layers(weights, "gl", c), grid.data.max(axis=(0, 1, 2)))
+    w, depth = _checked_weights(weights, cfg), len(cfg.fc_widths)
+    per_point = _head_apply(_mlp(w, "pp", depth), trilinear_sample(grid, alpha, beta, h))
+    global_feat = _head_apply(_mlp(w, "gl", depth), grid.data.max(axis=(0, 1, 2)))
     return per_point, global_feat
 
 
