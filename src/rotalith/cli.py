@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InputFormatError, NumericError
-from .io import read_archive, read_cloud, write_archive
+from .io import read_archive, read_cloud, read_labels, write_archive
 from .pipeline import (
     PrinConfig,
     SprinConfig,
@@ -116,25 +116,8 @@ def _cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _read_labels(path) -> np.ndarray:
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            try:
-                labels.append(int(round(float(tokens[-1]))))
-            except ValueError:
-                raise InputFormatError(f"{path}:{lineno}: not a label") from None
-    if not labels:
-        raise InputFormatError(f"{path}: no labels")
-    return np.asarray(labels, dtype=np.int64)
-
-
 def _archive_labels(path, flag: str, rows: int) -> np.ndarray:
-    labels = _read_labels(path)
+    labels = read_labels(path)
     if len(labels) != rows:
         raise InputFormatError(f"{path}: {flag} has {len(labels)} labels for {rows} archive rows")
     return labels

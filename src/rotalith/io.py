@@ -4,7 +4,9 @@ Cloud files hold one point per line, ``x y z`` or ``x y z label``, with ``#``
 starting a comment.  Archives are little-endian throughout: magic ``RTLH``,
 u32 version (currently 1), u32 tensor count, then per tensor a u32 name
 length, the UTF-8 name, a u8 rank, rank u64 dims, and the float32 payload.
-Every malformed input maps to a structured error, never a crash.
+Label files hold one integer label per line, the last field of the line,
+so a labeled cloud file is also a label file.  Every malformed input maps to
+a structured error, never a crash.
 """
 
 from __future__ import annotations
@@ -16,10 +18,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveFormatError, CloudFormatError
+from .errors import ArchiveFormatError, CloudFormatError, InputFormatError
 
 MAGIC = b"RTLH"
 VERSION = 1
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _label(token: str, where: str) -> int:
+    """A label field rounded to the nearest integer; ``where`` is ``path:line``.
+
+    A field that is not a number, not finite, or outside int64 raises
+    :class:`InputFormatError` naming ``where``.
+    """
+    try:
+        value = float(token)
+    except ValueError:
+        raise InputFormatError(f"{where}: not a label ({token!r})") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{where}: non-finite label ({token})")
+    label = round(value)
+    if not _INT64.min <= label <= _INT64.max:
+        raise InputFormatError(f"{where}: label {token} does not fit int64")
+    return label
 
 
 def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -52,11 +74,24 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
                 raise CloudFormatError(f"{path}:{lineno}: non-finite field")
             points.append(values[:3])
             if arity == 4:
-                labels.append(int(round(values[3])))
+                labels.append(_label(tokens[3], f"{path}:{lineno}"))
     if not points:
         raise CloudFormatError(f"{path}: no data lines")
     pts = np.asarray(points, dtype=float)
     return pts, (np.asarray(labels, dtype=np.int64) if arity == 4 else None)
+
+
+def read_labels(path) -> np.ndarray:
+    """Parse a label file into ``(N,)`` int64 labels, one per data line."""
+    labels = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                labels.append(_label(tokens[-1], f"{path}:{lineno}"))
+    if not labels:
+        raise InputFormatError(f"{path}: no labels")
+    return np.asarray(labels, dtype=np.int64)
 
 
 def write_cloud(path, points: np.ndarray, labels: np.ndarray | None = None) -> None:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .voxelize import _point_chunks
+
 INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
 
 # below this side length a triangle angle is undefined; see relative_invariants
@@ -207,7 +209,12 @@ def correlate_at(
     is the filter's ``(W, b)`` list: rectifier between layers, linear output.
     The result equals the mean over neighbors of the filter run on
     ``[invariants || features]`` per pair, but only the invariants' part of
-    the first layer and the hidden layers run per pair.
+    the first layer and the hidden layers run per pair.  That per-pair work
+    runs in blocks of centers, as many as fit the dense chunk budget
+    (``voxelize._CHUNK_BYTES``) at ``8 * ceil(k/d) * w`` bytes per center,
+    w the widest of the 8 invariants and the per-pair layers, and at least
+    one.  A block leaves only its neighbor mean; no bit depends on the
+    block size.
     """
     if k < 1 or d < 1:
         raise ValueError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
@@ -220,20 +227,32 @@ def correlate_at(
     nbr = neighbors[:, :k:d]
     centroid = source_points.mean(axis=0)[:, None]
     # the invariants' per-point terms once per source point and per center
-    src = _point_terms(source_points.T, centroid)[:, nbr]
-    cen = _point_terms(center_pos.T, centroid)[:, :, None]
-    inv = _invariants(src, cen)
+    src = _point_terms(source_points.T, centroid)
+    cen = _point_terms(center_pos.T, centroid)
     # first layer: the feature columns and the bias act once per source point
-    (W0, b0), *rest = layers
-    if source_feats is None:
-        h = inv @ W0.T + b0
-    else:
-        h = inv @ W0[:, :8].T
-        h += (source_feats @ W0[:, 8:].T + b0)[nbr]
-    for i, (W, b) in enumerate(rest, start=1):
-        np.maximum(h, 0.0, out=h)
-        if i == len(rest):
-            # the output layer is affine, so it commutes with the mean
-            return h.mean(axis=1) @ W.T + b
-        h = h @ W.T + b
-    return h.mean(axis=1)
+    W0, b0 = layers[0]
+    point = None if source_feats is None else source_feats @ W0[:, 8:].T + b0
+    # the first layer's invariant columns and the hidden layers run per
+    # pair; the output layer is affine, so it commutes with the mean and
+    # runs once per center on it (a one-layer filter has none after it)
+    per_pair = layers[: max(1, len(layers) - 1)]
+    widths = [8] + [W.shape[0] for W, _ in per_pair]
+    mean = np.empty((nbr.shape[0], widths[-1]))
+    for rows in _point_chunks(nbr.shape[0], 8 * nbr.shape[1] * max(widths)):
+        idx = nbr[rows]
+        inv = _invariants(src[:, idx], cen[:, rows, None])
+        if point is None:
+            h = inv @ W0.T + b0
+        else:
+            h = inv @ W0[:, :8].T
+            h += point[idx]
+        for W, b in per_pair[1:]:
+            np.maximum(h, 0.0, out=h)
+            h = h @ W.T + b
+        if len(layers) > 1:
+            np.maximum(h, 0.0, out=h)
+        mean[rows] = h.mean(axis=1)
+    if len(layers) == 1:
+        return mean
+    W, b = layers[-1]
+    return mean @ W.T + b

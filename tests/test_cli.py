@@ -501,6 +501,29 @@ def test_match_labels_must_fit_archives_exit_2(feature_archives, tmp_path, capsy
     assert str(tmp_path / ("labels_b.txt" if counts == (10, 5) else "labels_a.txt")) in err
 
 
+@pytest.mark.parametrize("label", ["inf", "1e30"])
+def test_match_labels_outside_int64_exit_2(feature_archives, tmp_path, capsys, label):
+    labels_a, labels_b = tmp_path / "labels_a.txt", tmp_path / "labels_b.txt"
+    labels_a.write_text("1\n" * 9 + f"{label}\n")
+    labels_b.write_text("1\n" * 12)
+    code, stdout, err = run_cli(
+        capsys, "match", "--a", str(feature_archives[0]), "--b", str(feature_archives[1]),
+        "--labels-a", str(labels_a), "--labels-b", str(labels_b),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"{labels_a}:10: " in err and "Traceback" not in err
+
+
+def test_fps_cloud_label_outside_int64_exits_2(tmp_path, capsys):
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0 0 1\n0.5 0 0 1e30\n")
+    code, stdout, err = run_cli(capsys, "fps", "--in", str(cloud), "--m", "1")
+    assert code == 2
+    assert stdout == ""
+    assert f"{cloud}:2: " in err
+
+
 @pytest.mark.parametrize(
     "argv,flag",
     [

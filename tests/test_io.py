@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from rotalith.errors import ArchiveFormatError, CloudFormatError
-from rotalith.io import read_archive, read_cloud, write_archive, write_cloud
+from rotalith.errors import ArchiveFormatError, CloudFormatError, InputFormatError
+from rotalith.io import read_archive, read_cloud, read_labels, write_archive, write_cloud
 
 
 def test_cloud_round_trip(tmp_path):
@@ -56,6 +56,26 @@ def test_cloud_error_carries_line_number(tmp_path):
     path.write_text("0 0 0\n0 0 bad\n")
     with pytest.raises(CloudFormatError, match=":2"):
         read_cloud(path)
+
+
+@pytest.mark.parametrize("label", ["inf", "-nan", "1e30", "-9.3e18", "9223372036854775808"])
+def test_labels_outside_int64_name_the_line(tmp_path, label):
+    labels = tmp_path / "labels.txt"
+    labels.write_text(f"3\n{label}\n")
+    with pytest.raises(InputFormatError, match=r"labels\.txt:2: "):
+        read_labels(labels)
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text(f"0 0 0 3\n0 0 0 {label}\n")
+    with pytest.raises(InputFormatError, match=r"c\.xyz:2: "):
+        read_cloud(cloud)
+
+
+def test_labels_round_to_the_nearest_int64(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("# comment\n0 0 0 2.4\n\n-7\n9.2e18  # in range\n")
+    labels = read_labels(path)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == [2, -7, 9_200_000_000_000_000_000]
 
 
 def test_archive_round_trip_byte_identical(tmp_path):

@@ -335,6 +335,20 @@ def test_prin_non_finite_layer_output_raises():
         prin_forward(blob_cloud(128, 0), w, cfg)
 
 
+def test_prin_overflowing_layer_output_raises():
+    # finite weights pass the weight check; scaled by 1e160 per correlation,
+    # a correlation output overflows and the sphere signal rejects it
+    # (scaled by 1e100 every output stays finite)
+    cfg = PrinConfig(bandwidth=4, xi=0.2)
+    w = init_weights(cfg, 0)
+    for key in ("svc0", "svc1", "svc2"):
+        w[key] = w[key] * 1e160
+        assert np.isfinite(w[key]).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^S2 data contains non-finite entries$"):
+            prin_forward(blob_cloud(128, 0), w, cfg)
+
+
 # ---------------------------------------------------------------------------
 # SPRIN forward
 # ---------------------------------------------------------------------------

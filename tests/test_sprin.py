@@ -7,6 +7,7 @@ import pytest
 
 import rotalith.pipeline as pipeline
 import rotalith.sprin as sprin
+import rotalith.voxelize as vox_module
 from rotalith.geometry import random_rotation
 from rotalith.sprin import (
     correlate_at,
@@ -532,7 +533,9 @@ def test_relative_invariants_broadcast_bitwise_equal_to_oracle(shapes):
     assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-# bitwise: the per-point terms and the per-pair sums add in the oracle's order
+# bitwise: the per-point terms and the per-pair sums add in the oracle's order.
+# The spy joins the invariants of every block of one correlate_at call, with
+# all centers in one block and with a budget of 5 centers per block at d = 1
 @pytest.mark.parametrize("case", list(INVARIANT_CASES))
 def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
     pts, centers = INVARIANT_CASES[case]
@@ -549,8 +552,14 @@ def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
     for d in (1, 2, 3):
         nbr = table[:, :12:d]
         ref = _invariants_oracle(pts[nbr], centers[:, None, :], centroid)
-        correlate_at(pts, None, centers, table, _filter((8, 4), 0), 12, d)
-        assert seen[-1].shape == ref.shape and seen[-1].tobytes() == ref.tobytes()
+        for budget in (vox_module._CHUNK_BYTES, 5 * 8 * 12 * 8):
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(vox_module, "_CHUNK_BYTES", budget)
+                correlate_at(pts, None, centers, table, _filter((8, 4), 0), 12, d)
+            assert (len(seen) > 1) == (budget < vox_module._CHUNK_BYTES)
+            got = np.concatenate(seen)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         got = relative_invariants(pts[nbr], centers[:, None, :], centroid)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     assert (ref[..., 2] == 0.0).any()  # a center is its own nearest neighbor: s1 = 0
@@ -598,3 +607,79 @@ def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud):
             ref = pipeline.sprin_forward(pts, weights, cfg)
         for got, want in zip(fast, ref):
             _assert_rel_close(got, want)
+
+
+# ---------------------------------------------------------------------------
+# center blocks: correlate_at runs its per-pair work one block of centers at
+# a time, within the dense chunk budget; no block size moves a bit
+# ---------------------------------------------------------------------------
+
+
+def _block_sizes(monkeypatch, budget, run):
+    """``run()`` with the chunk budget set to ``budget``; its result and the
+    centers per ``_invariants`` call, one call per block."""
+    sizes = []
+    kernel = sprin._invariants
+
+    def spy(src, cen):
+        sizes.append(cen.shape[1])
+        return kernel(src, cen)
+
+    with monkeypatch.context() as m:
+        m.setattr(vox_module, "_CHUNK_BYTES", budget)
+        m.setattr(sprin, "_invariants", spy)
+        return run(), sizes
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_correlate_at_blocks_bitwise_equal_to_one_block(monkeypatch, d):
+    pts = ORACLE_CLOUDS["blob"]
+    centers = pts[::3]  # 50 centers
+    table = knn_table(pts, centers, 15)
+    feats = np.random.default_rng(5).standard_normal((len(pts), 5))
+    for seed, hidden in enumerate([(), (16,), (16, 12)]):
+        for f in (None, feats):
+            filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
+            # ceil(12/d) pairs per center at the widest per-pair width; the
+            # 6 outputs of a one-layer filter are narrower than 8 invariants
+            row = 8 * len(range(0, 12, d)) * max((8,) + hidden)
+            run = lambda: correlate_at(pts, f, centers, table, filt, 12, d)  # noqa: E731
+            ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
+            assert sizes == [50]
+            got, sizes = _block_sizes(monkeypatch, 1, run)
+            assert sizes == [1] * 50 and got.tobytes() == ref.tobytes()
+            got, sizes = _block_sizes(monkeypatch, 7 * row, run)  # 8 blocks of 6 or 7
+            assert sorted(set(sizes)) == [6, 7] and sum(sizes) == 50
+            assert got.tobytes() == ref.tobytes()
+
+
+def test_sprin_forward_blocks_bitwise_equal_to_one_block(monkeypatch):
+    cfg = pipeline.SprinConfig()
+    pts = pipeline.blob_cloud(300, 5)
+    weights = pipeline.init_weights(cfg, 2)
+    run = lambda: pipeline.sprin_forward(pts, weights, cfg)  # noqa: E731
+    ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
+    assert len(sizes) == 13  # one block per layer
+    for budget in (1, 50_000):
+        got, sizes = _block_sizes(monkeypatch, budget, run)
+        assert len(sizes) > 13
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_correlate_at_memory_within_block_budget():
+    # the largest default-stack layer at 2048 points: 2048 centers x 32
+    # neighbors at 64 hidden units is a 32 MiB activation in one piece; a
+    # block holds its invariants and two activations of at most one budget
+    # each, beside the per-point first-layer term and the (C, 64) mean
+    pts = pipeline.blob_cloud(2048, 5)
+    table = knn_table(pts, pts, 96)
+    feats = np.random.default_rng(6).standard_normal((2048, 64))
+    filt = _filter((8 + 64, 64, 64), 7)
+    tracemalloc.start()
+    try:
+        out = correlate_at(pts, feats, pts, table, filt, 96, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 6 * vox_module._CHUNK_BYTES
