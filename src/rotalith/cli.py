@@ -59,15 +59,12 @@ def _cmd_voxelize(args) -> int:
     grid = voxelize(points, args.bandwidth, cfg)
     write_archive(args.out, {"grid": grid.data})
     if args.csv:
-        n = 2 * args.bandwidth
+        values = grid.data[..., 0]
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("i,j,k,value\n")
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        v = grid.data[i, j, k, 0]
-                        if v != 0.0:
-                            fh.write(f"{i},{j},{k},{v:.9g}\n")
+            # argwhere lists the nonzero voxels in (i, j, k) order
+            for i, j, k in np.argwhere(values):
+                fh.write(f"{i},{j},{k},{values[i, j, k]:.9g}\n")
     nz = int(np.count_nonzero(grid.data))
     print(f"bandwidth={args.bandwidth} mode={cfg.mode} xi={cfg.xi:.9g} "
           f"nonzero={nz} mass={grid.data.sum():.9g}")

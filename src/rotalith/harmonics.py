@@ -26,8 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# byte budget of one coefficient-major basis block in _sh_blocks
-_SH_CHUNK_BYTES = 4 << 20
+from . import chunks
 
 
 def alpha_nodes(B: int) -> np.ndarray:
@@ -110,14 +109,6 @@ def _sh_block(L: int, dirs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sh_blocks(L: int, dirs: np.ndarray):
-    """Yield ``(rows, _sh_block(L, dirs[rows]))`` in blocks of at most ``_SH_CHUNK_BYTES``."""
-    rows = max(1, _SH_CHUNK_BYTES // (8 * n_coeffs(L)))
-    for lo in range(0, dirs.shape[0], rows):
-        chunk = slice(lo, lo + rows)
-        yield chunk, _sh_block(L, dirs[chunk])
-
-
 def _degree(coeffs: np.ndarray) -> int:
     """Degree cutoff L of a coefficient array with ``(L+1)^2`` leading rows."""
     L = int(round(np.sqrt(coeffs.shape[0]))) - 1
@@ -133,8 +124,9 @@ def sh_eval(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     dirs = np.asarray(dirs, dtype=float)
     cmat = c.reshape(c.shape[0], -1)
     vals = np.empty((dirs.shape[0], cmat.shape[1]))
-    for rows, block in _sh_blocks(L, dirs):
-        vals[rows] = block.T @ cmat
+    # one coefficient-major basis block of (L+1)^2 float64 per direction
+    for rows in chunks._point_chunks(dirs.shape[0], 8 * n_coeffs(L), chunks._LOOP_CHUNK_BYTES):
+        vals[rows] = _sh_block(L, dirs[rows]).T @ cmat
     return vals.reshape((dirs.shape[0],) + c.shape[1:])
 
 

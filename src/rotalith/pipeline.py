@@ -15,12 +15,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import chunks
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
 from .so3 import SphericalFilter, gamma_average, svc_sphere
 from .sprin import correlate_at, farthest_point_sampling, knn_table
-from .voxelize import SamplingConfig, _cloud_array, _point_chunks, normalize_cloud
+from .voxelize import SamplingConfig, _cloud_array, normalize_cloud
 
 # prin_forward's voxelizer stage, bound as `voxelize`: the name perfbench's
 # tracer times.  It takes the spherical coordinates the read-out reuses.
@@ -44,6 +45,7 @@ class PrinConfig:
             raise ValueError(f"bandwidth must be >= 2, got {self.bandwidth}")
         if min((self.svc_channels,) + self.conv_channels + self.fc_widths) < 1:
             raise ValueError("all channel widths must be >= 1")
+        SamplingConfig(self.xi, self.mode)  # the voxelizer's check of xi and mode
 
     @property
     def layer_channels(self) -> tuple[int, ...]:
@@ -263,9 +265,9 @@ def prin_forward(
     first += b0
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
-    # the dense chunk budget at the widest row any head layer holds
+    # the chunk budget at the widest row any head layer holds
     per_point = np.empty((points.shape[0], cfg.fc_widths[-1]))
-    for chunk in _point_chunks(points.shape[0], 8 * max(cfg.fc_widths)):
+    for chunk in chunks._point_chunks(points.shape[0], 8 * max(cfg.fc_widths)):
         h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
         np.maximum(h, 0.0, out=h)
         per_point[chunk] = _head_apply(rest, h)
@@ -378,14 +380,14 @@ def match_descriptors(
 
     Returns the index map and, when both label arrays are given, the fraction
     of matches whose labels agree.  Squared distances are formed for chunks
-    of rows of ``da``, each within the dense chunk budget.
+    of rows of ``da``, each within the chunk budget.
     """
     if da.channels != db.channels:
         raise ValueError(f"channel mismatch: {da.channels} vs {db.channels}")
     a, b = da.feats, db.feats
     bb = np.einsum("jk,jk->j", b, b)[None, :]
     idx = np.empty(a.shape[0], dtype=np.int64)
-    for rows in _point_chunks(a.shape[0], 8 * b.shape[0]):
+    for rows in chunks._point_chunks(a.shape[0], 8 * b.shape[0]):
         ar = a[rows]
         d2 = np.einsum("ik,ik->i", ar, ar)[:, None] - 2.0 * ar @ b.T + bb
         idx[rows] = np.argmin(d2, axis=1)

@@ -35,11 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import chunks
 from . import harmonics as sh
 from .geometry import euler_to_matrix
 from .voxelize import SphericalGrid
-
-_BRUTE_DIR_CHUNK = 32
 
 
 @dataclass
@@ -183,12 +182,13 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
 
     U = u0.reshape(-1, 3)
     out_dir = np.empty((n * n, c_out))
-    for lo in range(0, n * n, _BRUTE_DIR_CHUNK):
-        hi = min(n * n, lo + _BRUTE_DIR_CHUNK)
-        dirs = np.einsum("rji,pj->pri", Rs, U[lo:hi])
+    # per direction: its rotated filter arguments and their filter values
+    row_bytes = 8 * Rs.shape[0] * max(3, c_out * c_in)
+    for rows in chunks._point_chunks(n * n, row_bytes, chunks._LOOP_CHUNK_BYTES):
+        dirs = np.einsum("rji,pj->pri", Rs, U[rows])
         vals = sh.sh_eval(psi.coeffs, dirs.reshape(-1, 3))
-        vals = vals.reshape(hi - lo, Rs.shape[0], c_out, c_in)
-        out_dir[lo:hi] = np.einsum("prij,rj->pi", vals, gw)
+        vals = vals.reshape(-1, Rs.shape[0], c_out, c_in)
+        out_dir[rows] = np.einsum("prij,rj->pi", vals, gw)
     return S2Signal(B, out_dir.reshape(n, n, c_out))
 
 

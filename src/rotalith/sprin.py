@@ -19,16 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .voxelize import _point_chunks
+from . import chunks
 
 INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
 
 # below this side length a triangle angle is undefined; see relative_invariants
 _DEGENERATE_SIDE = 1e-12
-
-# byte budget of one chunk of knn_table: its centers x N float64 squared
-# distances and one per-axis temporary of the same size
-_KNN_CHUNK_BYTES = 8 << 20
 
 
 def _norm(u: np.ndarray) -> np.ndarray:
@@ -131,18 +127,17 @@ def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     distance, index).  The order is stable, so the first k' columns are the
     k'-nearest neighbors for any k' <= k and one table serves every layer
     that correlates the same pair of point sets.  Centers are processed in
-    chunks whose ``chunk x N`` squared distances and one per-axis
-    temporary of the same size stay within ``_KNN_CHUNK_BYTES`` (at least
-    one row).
+    chunks of ``chunks._LOOP_CHUNK_BYTES`` at ``8 * N`` bytes per center:
+    a chunk holds its ``chunk x N`` squared distances and one per-axis
+    temporary of the same size.
     """
     n = source.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} (the source point count), got k={k}")
     table = np.empty((centers.shape[0], k), dtype=np.int64)
-    rows = max(1, _KNN_CHUNK_BYTES // (n * 2 * 8))
     src = np.ascontiguousarray(source.T)
-    for lo in range(0, centers.shape[0], rows):
-        cen = centers[lo : lo + rows]
+    for rows in chunks._point_chunks(centers.shape[0], 8 * n, chunks._LOOP_CHUNK_BYTES):
+        cen = centers[rows]
         # (dx^2 + dz^2) + dy^2 is the order einsum("cnk,cnk->cn") adds in, so
         # these are bitwise the distances of the (rows, N, 3) difference tensor
         d2 = np.subtract.outer(cen[:, 0], src[0])
@@ -152,7 +147,7 @@ def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
         np.subtract.outer(cen[:, 1], src[1], out=tmp)
         d2 += np.square(tmp, out=tmp)
         del tmp  # freed before the selection allocates its indices
-        table[lo : lo + rows] = _stable_smallest(d2, k)
+        table[rows] = _stable_smallest(d2, k)
     return table
 
 
@@ -210,8 +205,8 @@ def correlate_at(
     The result equals the mean over neighbors of the filter run on
     ``[invariants || features]`` per pair, but only the invariants' part of
     the first layer and the hidden layers run per pair.  That per-pair work
-    runs in blocks of centers, as many as fit the dense chunk budget
-    (``voxelize._CHUNK_BYTES``) at ``8 * ceil(k/d) * w`` bytes per center,
+    runs in blocks of centers, as many as fit the chunk budget
+    (``chunks._CHUNK_BYTES``) at ``8 * ceil(k/d) * w`` bytes per center,
     w the widest of the 8 invariants and the per-pair layers, and at least
     one.  A block leaves only its neighbor mean; no bit depends on the
     block size.
@@ -238,7 +233,7 @@ def correlate_at(
     per_pair = layers[: max(1, len(layers) - 1)]
     widths = [8] + [W.shape[0] for W, _ in per_pair]
     mean = np.empty((nbr.shape[0], widths[-1]))
-    for rows in _point_chunks(nbr.shape[0], 8 * nbr.shape[1] * max(widths)):
+    for rows in chunks._point_chunks(nbr.shape[0], 8 * nbr.shape[1] * max(widths)):
         idx = nbr[rows]
         inv = _invariants(src[:, idx], cen[:, rows, None])
         if point is None:

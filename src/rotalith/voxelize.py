@@ -21,33 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import chunks
 from .errors import InputFormatError
 from .geometry import cart_to_spherical
 from .harmonics import beta_nodes
-
-# byte budgets of one chunk of the dense path's per-point work.  The
-# read-out's feature rows (and the matcher's distance rows) stay small
-# enough that malloc reuses their temporaries instead of handing them back
-# to the OS after every chunk.  The voxelizer's budget bounds candidate
-# voxels, most of which are never expanded, so its chunks stay larger:
-# smaller ones only add per-chunk overhead
-_CHUNK_BYTES = 1 << 20
-_VOXEL_CHUNK_BYTES = 4 << 20
-
-
-def _point_chunks(n: int, row_bytes: int, budget: int | None = None) -> list[slice]:
-    """Split ``n`` rows into near-equal chunks of at most ``budget`` bytes
-    (default ``_CHUNK_BYTES``).
-
-    Every chunk holds at least one row.  Near-equal sizes keep each chunk
-    large when ``n`` barely exceeds one chunk; a sliver of a few rows would
-    take a small-matrix BLAS kernel that rounds differently.
-    """
-    rows = max(1, (_CHUNK_BYTES if budget is None else budget) // row_bytes)
-    count = -(-n // rows)
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
 
 @dataclass
 class SamplingConfig:
@@ -138,7 +115,7 @@ def _voxelize_spherical(
     kc = int(np.floor(2 * xi / d_h)) + 2
 
     # a chunk's points expand to at most ka * kb * kc float64 candidates each
-    for chunk in _point_chunks(alpha.shape[0], 8 * ka * kb * kc, _VOXEL_CHUNK_BYTES):
+    for chunk in chunks._point_chunks(alpha.shape[0], 8 * ka * kb * kc, chunks._LOOP_CHUNK_BYTES):
         a, b, r = alpha[chunk], beta[chunk], h[chunk]
 
         # alpha: unwrapped candidate indices near a / d_alpha, distance on

@@ -8,8 +8,9 @@ import pytest
 
 from rotalith.cli import main
 from rotalith.geometry import random_rotation
-from rotalith.io import read_archive, write_cloud
+from rotalith.io import read_archive, read_cloud, write_cloud
 from rotalith.pipeline import blob_cloud
+from rotalith.voxelize import SamplingConfig, normalize_cloud, voxelize
 
 
 def run_cli(capsys, *argv):
@@ -116,7 +117,17 @@ def test_voxelize_writes_archive(cloud_file, tmp_path, capsys):
     assert "bandwidth=4" in stdout
     grid = read_archive(out)["grid"]
     assert grid.shape == (8, 8, 8, 1)
-    assert csv.read_text().startswith("i,j,k,value")
+    header, *rows = csv.read_text().splitlines()
+    assert header == "i,j,k,value"
+    # exactly the nonzero voxels, in (i, j, k) order, at 9 significant
+    # digits of the float64 grid (the archive holds float32)
+    values = voxelize(normalize_cloud(read_cloud(cloud_file)[0]), 4, SamplingConfig(xi=0.1)).data
+    want = [
+        f"{i},{j},{k},{values[i, j, k, 0]:.9g}"
+        for i in range(8) for j in range(8) for k in range(8)
+        if values[i, j, k, 0] != 0.0
+    ]
+    assert rows == want and 0 < len(rows) < 8 ** 3
 
 
 def test_equiv_check_sprin_rows(capsys):

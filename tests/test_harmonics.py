@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import sph_harm_y
 
+from rotalith import chunks
 from rotalith import harmonics as sh
 
 
@@ -152,8 +153,8 @@ def test_sh_eval_matches_basis_across_chunks(monkeypatch):
     L = 9
     coeffs = rng.standard_normal((sh.n_coeffs(L), 2, 3))
     basis, one_block = _basis(L, d), sh.sh_eval(coeffs, d)  # 300 rows fit one block
-    # 7 rows per block: 43 blocks, the last one ragged
-    monkeypatch.setattr(sh, "_SH_CHUNK_BYTES", 7 * 8 * sh.n_coeffs(L))
+    # at most 7 rows per block: 43 blocks of 6 or 7 rows
+    monkeypatch.setattr(chunks, "_LOOP_CHUNK_BYTES", 7 * 8 * sh.n_coeffs(L))
     assert np.array_equal(_basis(L, d), basis)
     vals = sh.sh_eval(coeffs, d)
     assert vals.shape == (300, 2, 3)

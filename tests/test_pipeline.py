@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rotalith.chunks as chunks
 import rotalith.pipeline as pipeline_module
-import rotalith.voxelize as vox_module
 from rotalith.errors import InputFormatError, NumericError
 from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
 from rotalith.pipeline import (
@@ -92,6 +92,22 @@ _NARROW = dict(hidden=8, channels=8, cls_head=(8,), seg_head=(8,))
 def test_sprin_config_rejects_bad_stacks(encoder, decoder, match):
     with pytest.raises(ValueError, match=match):
         SprinConfig(encoder=encoder, decoder=decoder, **_NARROW)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"xi": 0.0}, "xi must be positive and finite, got 0.0"),
+        ({"xi": -1.0}, "xi must be positive and finite, got -1.0"),
+        ({"xi": float("nan")}, "xi must be positive and finite, got nan"),
+        ({"mode": "bogus"}, "mode must be 'daas' or 'uniform', got 'bogus'"),
+    ],
+    ids=["xi0", "xi-negative", "xi-nan", "mode"],
+)
+def test_prin_config_rejects_bad_sampling(kwargs, match):
+    # rejected at construction, before init_weights or prin_forward can run
+    with pytest.raises(ValueError, match=match):
+        PrinConfig(bandwidth=4, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -301,7 +317,7 @@ def test_prin_chunked_read_out_is_exact(monkeypatch):
     # 150 and 400 rows of 50 float64 channels: ragged chunks of 142/143 and 333/334
     for rows, n_chunks in ((150, 7), (400, 3)):
         head_rows.clear()
-        monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 8 * cfg.layer_channels[-1] * rows)
+        monkeypatch.setattr(chunks, "_CHUNK_BYTES", 8 * cfg.layer_channels[-1] * rows)
         per_point, global_feat = prin_forward(pts, w, cfg)
         assert len(head_rows) == n_chunks and sum(head_rows) == 1000
         assert np.array_equal(per_point, ref_pp)
@@ -437,7 +453,7 @@ def test_match_chunks_agree_with_unchunked(monkeypatch):
     rng = np.random.default_rng(8)
     a, b = rng.standard_normal((500, 6)), rng.standard_normal((90, 6))
     # 64 rows of 90 float64 distances: eight ragged chunks of 62 or 63 rows
-    monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 8 * 90 * 64)
+    monkeypatch.setattr(chunks, "_CHUNK_BYTES", 8 * 90 * 64)
     idx, _ = match_descriptors(Descriptor(a), Descriptor(b))
     assert np.array_equal(idx, _unchunked_match(a, b))
 

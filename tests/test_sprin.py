@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rotalith.chunks as chunks
 import rotalith.pipeline as pipeline
 import rotalith.sprin as sprin
-import rotalith.voxelize as vox_module
 from rotalith.geometry import random_rotation
 from rotalith.sprin import (
     correlate_at,
@@ -168,11 +168,23 @@ def test_knn_table_tie_cases_tie_at_the_kth_neighbor():
     assert _straddles(np.concatenate([_cloud(22, 40)] * 3), _cloud(22, 40), 5) > 0
 
 
-@pytest.mark.parametrize("budget", [1, 300 * 24 * 7])  # one row per chunk; 7 rows per chunk
-def test_knn_table_chunking(monkeypatch, budget):
-    monkeypatch.setattr(sprin, "_KNN_CHUNK_BYTES", budget)
+@pytest.mark.parametrize("rows", [1, 7])  # rows per chunk at most
+def test_knn_table_chunking(monkeypatch, rows):
     source, centers = _cloud(25, 300), _cloud(26, 50)  # 50 is not a multiple of 7
+    # a center's row holds 8 bytes per source point
+    monkeypatch.setattr(chunks, "_LOOP_CHUNK_BYTES", rows * 8 * len(source))
+    sizes = []
+    split = chunks._point_chunks
+
+    def spy(n, row_bytes, budget=None):
+        parts = split(n, row_bytes, budget)
+        sizes.extend(c.stop - c.start for c in parts)
+        return parts
+
+    monkeypatch.setattr(chunks, "_point_chunks", spy)
     assert np.array_equal(knn_table(source, centers, 12), _knn_oracle(source, centers, 12))
+    assert sum(sizes) == 50 and max(sizes) == rows
+    assert sorted(set(sizes)) == ([1] if rows == 1 else [6, 7])  # 8 uneven chunks
 
 
 def test_knn_table_memory_within_chunk_budget():
@@ -185,7 +197,7 @@ def test_knn_table_memory_within_chunk_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - table.nbytes <= 1.5 * sprin._KNN_CHUNK_BYTES
+    assert peak - table.nbytes <= 3 * chunks._LOOP_CHUNK_BYTES  # 12 MiB
 
 
 def test_knn_table_errors():
@@ -552,12 +564,12 @@ def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
     for d in (1, 2, 3):
         nbr = table[:, :12:d]
         ref = _invariants_oracle(pts[nbr], centers[:, None, :], centroid)
-        for budget in (vox_module._CHUNK_BYTES, 5 * 8 * 12 * 8):
+        for budget in (chunks._CHUNK_BYTES, 5 * 8 * 12 * 8):
             seen.clear()
             with monkeypatch.context() as m:
-                m.setattr(vox_module, "_CHUNK_BYTES", budget)
+                m.setattr(chunks, "_CHUNK_BYTES", budget)
                 correlate_at(pts, None, centers, table, _filter((8, 4), 0), 12, d)
-            assert (len(seen) > 1) == (budget < vox_module._CHUNK_BYTES)
+            assert (len(seen) > 1) == (budget < chunks._CHUNK_BYTES)
             got = np.concatenate(seen)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
         got = relative_invariants(pts[nbr], centers[:, None, :], centroid)
@@ -611,7 +623,7 @@ def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud):
 
 # ---------------------------------------------------------------------------
 # center blocks: correlate_at runs its per-pair work one block of centers at
-# a time, within the dense chunk budget; no block size moves a bit
+# a time, within the chunk budget; no block size moves a bit
 # ---------------------------------------------------------------------------
 
 
@@ -626,7 +638,7 @@ def _block_sizes(monkeypatch, budget, run):
         return kernel(src, cen)
 
     with monkeypatch.context() as m:
-        m.setattr(vox_module, "_CHUNK_BYTES", budget)
+        m.setattr(chunks, "_CHUNK_BYTES", budget)
         m.setattr(sprin, "_invariants", spy)
         return run(), sizes
 
@@ -682,4 +694,4 @@ def test_correlate_at_memory_within_block_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - out.nbytes <= 6 * vox_module._CHUNK_BYTES
+    assert peak - out.nbytes <= 6 * chunks._CHUNK_BYTES

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-import rotalith.voxelize as vox_module
+import rotalith.chunks as chunks
 from rotalith.errors import InputFormatError
 from rotalith.geometry import cart_to_spherical, rot_z, spherical_to_cart
 from rotalith.harmonics import alpha_nodes, beta_nodes, h_nodes
 from rotalith.voxelize import (
     SamplingConfig,
-    _point_chunks,
     grid_shift_alpha,
     normalize_cloud,
     voxelize,
@@ -191,12 +190,12 @@ def test_matches_bruteforce_oracle(B, mode, xi):
 
 
 def test_point_chunks_cover_rows_in_near_equal_chunks(monkeypatch):
-    monkeypatch.setattr(vox_module, "_CHUNK_BYTES", 80)
+    monkeypatch.setattr(chunks, "_CHUNK_BYTES", 80)
     for n, row_bytes in ((1, 8), (10, 8), (11, 8), (1000, 8), (7, 1000)):
-        chunks = _point_chunks(n, row_bytes)
-        sizes = [c.stop - c.start for c in chunks]
-        assert chunks[0].start == 0 and chunks[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(chunks[:-1], chunks[1:]))
+        parts = chunks._point_chunks(n, row_bytes)
+        sizes = [c.stop - c.start for c in parts]
+        assert parts[0].start == 0 and parts[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(parts[:-1], parts[1:]))
         assert max(sizes) <= max(1, 80 // row_bytes)
         assert max(sizes) - min(sizes) <= 1
 
@@ -208,5 +207,5 @@ def test_wide_window_grid_independent_of_chunk_budget(monkeypatch):
     default = voxelize(pts, B, cfg).data
     per_point = 8 * 7 * 12 * 34
     for budget in (1, 3 * per_point, 5 * per_point + 7):
-        monkeypatch.setattr(vox_module, "_VOXEL_CHUNK_BYTES", budget)
+        monkeypatch.setattr(chunks, "_LOOP_CHUNK_BYTES", budget)
         assert np.array_equal(voxelize(pts, B, cfg).data, default)
