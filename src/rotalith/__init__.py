@@ -51,6 +51,7 @@ from .pipeline import (
     SprinConfig,
     blob_cloud,
     equivariance_trial,
+    forward,
     head_predict,
     init_weights,
     match_descriptors,

@@ -23,11 +23,11 @@ def _point_chunks(n: int, row_bytes: int, budget: int | None = None) -> list[sli
     """Split ``n`` rows into near-equal chunks of at most ``budget`` bytes
     (default ``_CHUNK_BYTES``).
 
-    Every chunk holds at least one row.  Near-equal sizes keep each chunk
-    large when ``n`` barely exceeds one chunk; a sliver of a few rows would
-    take a small-matrix BLAS kernel that rounds differently.
+    Every chunk holds at least one row, and no rows give no chunks.
+    Near-equal sizes keep each chunk large when ``n`` barely exceeds one
+    chunk; a sliver of a few rows would take a small-matrix BLAS kernel that
+    rounds differently.
     """
     rows = max(1, (_CHUNK_BYTES if budget is None else budget) // row_bytes)
     count = -(-n // rows)
-    bounds = [n * i // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]

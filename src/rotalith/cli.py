@@ -21,10 +21,9 @@ from .pipeline import (
     SprinConfig,
     Descriptor,
     equivariance_trial,
+    forward,
     init_weights,
     match_descriptors,
-    prin_forward,
-    sprin_forward,
     toy_protocol,
 )
 from .so3 import SphericalFilter, svc_bruteforce, svc_spectral
@@ -103,10 +102,7 @@ def _cmd_features(args) -> int:
         weights = read_archive(args.weights)
     else:
         weights = init_weights(cfg, args.seed)
-    if args.pipeline == "prin":
-        per_point, global_feat = prin_forward(points, weights, cfg)
-    else:
-        per_point, global_feat = sprin_forward(points, weights, cfg)
+    per_point, global_feat = forward(points, weights, cfg)
     feats = global_feat[None, :] if args.mode_global else per_point
     write_archive(args.out, {"features": feats})
     print(f"pipeline={args.pipeline} rows={feats.shape[0]} channels={feats.shape[1]}")

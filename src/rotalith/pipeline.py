@@ -29,7 +29,7 @@ from .voxelize import _voxelize_spherical as voxelize
 from . import harmonics as sh
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrinConfig:
     """Dense-path hyperparameters; desk-scale defaults (bandwidth 8)."""
 
@@ -52,7 +52,7 @@ class PrinConfig:
         return (1, self.svc_channels) + self.conv_channels
 
 
-@dataclass
+@dataclass(frozen=True)
 class SprinConfig:
     """Sparse-path layer stack.
 
@@ -124,6 +124,8 @@ class Descriptor:
 
     def __post_init__(self):
         self.feats = np.asarray(self.feats, dtype=float)
+        if self.feats.ndim != 2 or self.feats.size == 0:
+            raise ValueError(f"expected a non-empty (N, C) feature array, got {self.feats.shape}")
         if not np.all(np.isfinite(self.feats)):
             raise ValueError("descriptor contains non-finite entries")
 
@@ -203,8 +205,10 @@ def _checked_weights(weights: dict, cfg) -> dict[str, np.ndarray]:
     return out
 
 
-def _mlp(weights: dict, prefix: str, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(W, b)`` pairs of the ``depth``-layer MLP under ``prefix``."""
+def _mlp(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(W, b)`` pairs of the MLP under ``prefix``.  ``weights`` are
+    checked (:func:`_checked_weights`), so the ``prefix_w*`` keys give the depth."""
+    depth = sum(key.startswith(f"{prefix}_w") for key in weights)
     return [(weights[f"{prefix}_w{j}"], weights[f"{prefix}_b{j}"]) for j in range(depth)]
 
 
@@ -252,7 +256,7 @@ def prin_forward(
     B = cfg.bandwidth
     chans = cfg.layer_channels
     filters = [SphericalFilter(B, coeffs=w[f"svc{li}"]) for li in range(len(chans) - 1)]
-    pp, gl = _mlp(w, "pp", len(cfg.fc_widths)), _mlp(w, "gl", len(cfg.fc_widths))
+    pp, gl = _mlp(w, "pp"), _mlp(w, "gl")
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
     act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
@@ -356,13 +360,22 @@ def sprin_forward(
     feats = None
     for i, layer in enumerate(enc + dec):
         c, s = layer.centers, layer.source
-        feats = correlate_at(
-            levels[s], feats, levels[c], tables[c, s], _mlp(w, layer.key, 2), layer.k, layer.d
-        )
+        neighbors = tables[c, s][:, : layer.k : layer.d]
+        feats = correlate_at(levels[s], feats, levels[c], neighbors, _mlp(w, layer.key))
         if i == len(enc) - 1:
             pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
-            global_feat = _head_apply(_mlp(w, "cls", len(cfg.cls_head)), pooled)
-    return _head_apply(_mlp(w, "seg", len(cfg.seg_head)), feats), global_feat
+            global_feat = _head_apply(_mlp(w, "cls"), pooled)
+    return _head_apply(_mlp(w, "seg"), feats), global_feat
+
+
+def forward(points: np.ndarray, weights: dict, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`prin_forward` for a :class:`PrinConfig`, :func:`sprin_forward`
+    for a :class:`SprinConfig`; any other config type raises TypeError."""
+    if isinstance(cfg, PrinConfig):
+        return prin_forward(points, weights, cfg)
+    if isinstance(cfg, SprinConfig):
+        return sprin_forward(points, weights, cfg)
+    raise TypeError(f"unsupported config type {type(cfg).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,21 +644,15 @@ def equivariance_trial(
         raise InputFormatError(f"rotation must be 'haar' or 'grid-z', got {rotation!r}")
 
     if pipeline == "sprin":
-        n = 192 if n_points is None else n_points
-        cfg = small_sprin_config()
-        weights = init_weights(cfg, seed)
-        cloud = blob_cloud(n, seed + 17)
-        base, _ = sprin_forward(cloud, weights, cfg)
-        rot, _ = sprin_forward(cloud @ Q.T, weights, cfg)
+        n, cfg = 192, small_sprin_config()
     elif pipeline == "prin":
-        n = 20000 if n_points is None else n_points
-        cfg = PrinConfig(bandwidth=bandwidth, xi=0.1)
-        weights = init_weights(cfg, seed)
-        cloud = blob_cloud(n, seed + 17)
-        base, _ = prin_forward(cloud, weights, cfg)
-        rot, _ = prin_forward(cloud @ Q.T, weights, cfg)
+        n, cfg = 20000, PrinConfig(bandwidth=bandwidth, xi=0.1)
     else:
         raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
+    weights = init_weights(cfg, seed)
+    cloud = blob_cloud(n if n_points is None else n_points, seed + 17)
+    base, _ = forward(cloud, weights, cfg)
+    rot, _ = forward(cloud @ Q.T, weights, cfg)
     mx, mn = relative_deviation(rot, base)
     return {"max_abs_err": mx, "mean_abs_err": mn}
 
@@ -679,18 +686,14 @@ def toy_protocol(
     clouds = toy_synth(classes, n_per_class, n_points, 0.01, seed)
     if pipeline == "sprin":
         cfg = SprinConfig()
-        weights = init_weights(cfg, seed)
-
-        def embed(pts):
-            return sprin_forward(pts, weights, cfg)[1]
     else:
         # window width sized for desk-scale clouds: narrow default windows
         # leave a few-hundred-point cloud almost entirely in empty voxels
         cfg = PrinConfig(bandwidth=bandwidth, mode=mode, xi=0.15)
-        weights = init_weights(cfg, seed)
+    weights = init_weights(cfg, seed)
 
-        def embed(pts):
-            return prin_forward(pts, weights, cfg)[1]
+    def embed(pts):
+        return forward(pts, weights, cfg)[1]
 
     train_idx = [i for i in range(len(clouds)) if i % 2 == 0]
     test_idx = [i for i in range(len(clouds)) if i % 2 == 1]

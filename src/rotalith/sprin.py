@@ -192,34 +192,27 @@ def correlate_at(
     center_pos: np.ndarray,
     neighbors: np.ndarray,
     layers: list[tuple[np.ndarray, np.ndarray]],
-    k: int,
-    d: int,
 ) -> np.ndarray:
     """One correlation layer: center positions against a source cloud.
 
-    ``neighbors`` is a :func:`knn_table` of the centers into the source with
-    at least ``k`` columns; every d-th of its first ``k`` columns is used,
-    ``ceil(k/d)`` neighbors per center (see :func:`dilated_knn`).  The
-    centroid of the invariants is the mean of ``source_points``.  ``layers``
-    is the filter's ``(W, b)`` list: rectifier between layers, linear output.
-    The result equals the mean over neighbors of the filter run on
-    ``[invariants || features]`` per pair, but only the invariants' part of
-    the first layer and the hidden layers run per pair.  That per-pair work
-    runs in blocks of centers, as many as fit the chunk budget
-    (``chunks._CHUNK_BYTES``) at ``8 * ceil(k/d) * w`` bytes per center,
-    w the widest of the 8 invariants and the per-pair layers, and at least
-    one.  A block leaves only its neighbor mean; no bit depends on the
-    block size.
+    ``neighbors`` holds, per center, the indices into the source of the
+    neighbors the layer reads; a layer with (k, d) reads every d-th of the
+    first k columns of a :func:`knn_table`, ``ceil(k/d)`` per center (see
+    :func:`dilated_knn`).  The centroid of the invariants is the mean of
+    ``source_points``.  ``layers`` is the filter's ``(W, b)`` list:
+    rectifier between layers, linear output.  The result equals the mean
+    over neighbors of the filter run on ``[invariants || features]`` per
+    pair, but only the invariants' part of the first layer and the hidden
+    layers run per pair.  That per-pair work runs in blocks of centers, as
+    many as fit the chunk budget (``chunks._CHUNK_BYTES``) at
+    ``8 * neighbors.shape[1] * w`` bytes per center, w the widest of the 8
+    invariants and the per-pair layers, and at least one.  A block leaves
+    only its neighbor mean; no bit depends on the block size.
     """
-    if k < 1 or d < 1:
-        raise ValueError(f"need k >= 1 and d >= 1, got k={k}, d={d}")
     expected = 8 + (0 if source_feats is None else source_feats.shape[1])
     in_width = layers[0][0].shape[1]
     if in_width != expected:
         raise ValueError(f"filter expects input width {in_width}, features give {expected}")
-    if neighbors.shape[1] < k:
-        raise ValueError(f"k={k} exceeds the {neighbors.shape[1]} columns of the neighbor table")
-    nbr = neighbors[:, :k:d]
     centroid = source_points.mean(axis=0)[:, None]
     # the invariants' per-point terms once per source point and per center
     src = _point_terms(source_points.T, centroid)
@@ -232,9 +225,9 @@ def correlate_at(
     # runs once per center on it (a one-layer filter has none after it)
     per_pair = layers[: max(1, len(layers) - 1)]
     widths = [8] + [W.shape[0] for W, _ in per_pair]
-    mean = np.empty((nbr.shape[0], widths[-1]))
-    for rows in chunks._point_chunks(nbr.shape[0], 8 * nbr.shape[1] * max(widths)):
-        idx = nbr[rows]
+    mean = np.empty((neighbors.shape[0], widths[-1]))
+    for rows in chunks._point_chunks(neighbors.shape[0], 8 * neighbors.shape[1] * max(widths)):
+        idx = neighbors[rows]
         inv = _invariants(src[:, idx], cen[:, rows, None])
         if point is None:
             h = inv @ W0.T + b0

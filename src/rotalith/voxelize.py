@@ -26,7 +26,7 @@ from .errors import InputFormatError
 from .geometry import cart_to_spherical
 from .harmonics import beta_nodes
 
-@dataclass
+@dataclass(frozen=True)
 class SamplingConfig:
     """Window width and latitude-scaling mode for the voxelizer."""
 
@@ -149,8 +149,9 @@ def _voxelize_spherical(
         np.add.at(num, flat_idx, xi - h_dist[p][sel])
         np.add.at(den, flat_idx, 1.0)
 
-    values = np.where(den > 0.0, num / np.maximum(den, 1.0), 0.0)
-    return SphericalGrid(B, values.reshape(n_bins, n_bins, n_bins, 1))
+    # num is exactly 0 wherever den is, so one in-place division gives the mean
+    num /= np.maximum(den, 1.0, out=den)
+    return SphericalGrid(B, num.reshape(n_bins, n_bins, n_bins, 1))
 
 
 def grid_shift_alpha(grid: SphericalGrid, m: int) -> SphericalGrid:

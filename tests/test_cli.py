@@ -526,6 +526,23 @@ def test_match_labels_outside_int64_exit_2(feature_archives, tmp_path, capsys, l
     assert f"{labels_a}:10: " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "shape_a,shape_b,bad",
+    [((3, 2), (0, 2), (0, 2)), ((0, 2), (3, 2), (0, 2)), ((3,), (3,), (3,)), ((2, 3, 2),) * 3],
+    ids=["empty-b", "empty-a", "rank-1", "rank-3"],
+)
+def test_match_features_not_a_non_empty_n_by_c_array_exit_2(tmp_path, capsys, shape_a, shape_b, bad):
+    from rotalith.io import write_archive
+
+    fa, fb = tmp_path / "a.rtlh", tmp_path / "b.rtlh"
+    write_archive(fa, {"features": np.ones(shape_a)})
+    write_archive(fb, {"features": np.ones(shape_b)})
+    code, stdout, err = run_cli(capsys, "match", "--a", str(fa), "--b", str(fb))
+    assert code == 2
+    assert stdout == ""
+    assert f"non-empty (N, C) feature array, got {bad}" in err
+
+
 def test_fps_cloud_label_outside_int64_exits_2(tmp_path, capsys):
     cloud = tmp_path / "c.xyz"
     cloud.write_text("0 0 0 1\n0.5 0 0 1e30\n")

@@ -1,6 +1,7 @@
 """End-to-end pipelines: invariance, matching, toy data, and the trained head."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from rotalith.pipeline import (
     PrinConfig,
     SprinConfig,
     blob_cloud,
+    forward,
     head_loss_and_grad,
     head_predict,
     init_weights,
@@ -151,11 +153,51 @@ def test_sprin_point_count_is_checked_before_any_work(monkeypatch, cfg, n, match
 @pytest.mark.parametrize("pipeline", ["prin", "sprin"])
 def test_forward_rejects_a_cloud_that_is_not_n_by_3(pipeline):
     cfg = PrinConfig(bandwidth=4) if pipeline == "prin" else small_sprin_config()
-    forward = prin_forward if pipeline == "prin" else sprin_forward
     with pytest.raises(InputFormatError, match=r"non-empty \(N, 3\) cloud"):
         forward(blob_cloud(200, 1)[:, :2], init_weights(cfg, 0), cfg)
     with pytest.raises(InputFormatError, match="cloud has non-finite coordinates"):
         forward(np.full((200, 3), np.nan), init_weights(cfg, 0), cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg, forward_of",
+    [(PrinConfig(bandwidth=4), prin_forward), (small_sprin_config(), sprin_forward)],
+    ids=["prin", "sprin"],
+)
+def test_forward_runs_the_pass_of_the_config_type(cfg, forward_of):
+    pts, w = blob_cloud(200, 2), init_weights(cfg, 1)
+    for got, want in zip(forward(pts, w, cfg), forward_of(pts, w, cfg)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [SamplingConfig(), None, {"bandwidth": 4}])
+def test_forward_rejects_other_config_types(cfg):
+    with pytest.raises(TypeError, match="unsupported config type"):
+        forward(blob_cloud(200, 2), {}, cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg", [PrinConfig(bandwidth=4), small_sprin_config(), SamplingConfig()],
+    ids=["prin", "sprin", "sampling"],
+)
+def test_configs_are_frozen(cfg):
+    # a field set after construction would skip __post_init__'s checks
+    for f in dataclasses.fields(cfg):
+        before = getattr(cfg, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, f.name, before)
+        assert getattr(cfg, f.name) is before
+
+
+def test_prin_config_bandwidth_cannot_bypass_its_check():
+    cfg = PrinConfig(bandwidth=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.bandwidth = 1
+    assert cfg.bandwidth == 4
+    # replace builds a new config, so the checks run again
+    with pytest.raises(ValueError, match="bandwidth must be >= 2, got 1"):
+        dataclasses.replace(cfg, bandwidth=1)
+    assert dataclasses.replace(cfg, bandwidth=2).bandwidth == 2
 
 
 def test_prin_weight_mismatch_raises():
@@ -198,7 +240,6 @@ def test_weight_errors_come_before_any_work(monkeypatch, cfg, weights_cfg, edits
     monkeypatch.setattr(pipeline_module, "voxelize", no_work)
     monkeypatch.setattr(pipeline_module, "farthest_point_sampling", no_work)
     monkeypatch.setattr(pipeline_module, "knn_table", no_work)
-    forward = prin_forward if isinstance(cfg, PrinConfig) else sprin_forward
     w = {**init_weights(weights_cfg, 0), **edits}
     with pytest.raises(ValueError, match=repr(key)):
         forward(blob_cloud(128, 0), w, cfg)
@@ -269,9 +310,9 @@ def _ball_prin_forward(points, weights, cfg):
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
     alpha, beta, h = cart_to_spherical(points)
-    w, depth = _checked_weights(weights, cfg), len(cfg.fc_widths)
-    per_point = _head_apply(_mlp(w, "pp", depth), trilinear_sample(grid, alpha, beta, h))
-    global_feat = _head_apply(_mlp(w, "gl", depth), grid.data.max(axis=(0, 1, 2)))
+    w = _checked_weights(weights, cfg)
+    per_point = _head_apply(_mlp(w, "pp"), trilinear_sample(grid, alpha, beta, h))
+    global_feat = _head_apply(_mlp(w, "gl"), grid.data.max(axis=(0, 1, 2)))
     return per_point, global_feat
 
 
@@ -442,6 +483,13 @@ def test_match_identity_and_permutation():
 def test_match_channel_mismatch():
     with pytest.raises(ValueError):
         match_descriptors(Descriptor(np.zeros((3, 4))), Descriptor(np.zeros((3, 5))))
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (4,), (2, 3, 4)])
+def test_descriptor_rejects_all_but_a_non_empty_n_by_c_array(shape):
+    match = r"non-empty \(N, C\) feature array, got " + re.escape(str(shape))
+    with pytest.raises(ValueError, match=match):
+        Descriptor(np.ones(shape))
 
 
 def _unchunked_match(a, b):

@@ -253,12 +253,16 @@ def test_sprin_forward_builds_levels_and_tables_before_any_correlation(monkeypat
     pipeline.sprin_forward(pipeline.blob_cloud(512, 3), pipeline.init_weights(cfg, 0), cfg)
     names = [name for name, _, _ in calls]
     assert names == ["farthest_point_sampling"] * 2 + ["knn_table"] * 7 + ["correlate_at"] * 13
-    tables = [(args, out) for name, args, out in calls if name == "knn_table"]
     # the levels hold 512, 128 and 32 points, so sizes tell the pairs apart
-    assert len({(len(args[1]), len(args[0])) for args, _ in tables}) == 7
-    for name, args, _ in calls:
-        if name == "correlate_at":  # every layer reads one of the prebuilt tables
-            assert any(args[3] is table for _, table in tables)
+    tables = {(len(args[1]), len(args[0])): out for name, args, out in calls if name == "knn_table"}
+    assert len(tables) == 7
+    _, enc, dec = pipeline._sparse_plan(cfg)
+    layer_args = [args for name, args, _ in calls if name == "correlate_at"]
+    for layer, args in zip(enc + dec, layer_args, strict=True):
+        # each layer reads every d-th of the first k columns of its pair's prebuilt table
+        table = tables[len(args[2]), len(args[0])]
+        assert np.shares_memory(args[3], table)
+        assert np.array_equal(args[3], table[:, : layer.k : layer.d])
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
@@ -330,7 +334,7 @@ def _mlp_apply(filt, x):
 
 def _correlate(source, feats, centers, filt, k):
     """One d = 1 layer as sprin_forward runs it: a neighbor table, then correlate_at."""
-    return correlate_at(source, feats, centers, knn_table(source, centers, k), filt, k, 1)
+    return correlate_at(source, feats, centers, knn_table(source, centers, k), filt)
 
 
 def test_constant_filter_gives_constant_output():
@@ -393,14 +397,6 @@ def test_permutation_equivariance():
     perm = np.random.default_rng(1).permutation(32)
     out_p = _correlate(pts[perm], None, pts[perm], filt, k)
     assert np.abs(out_p - out[perm]).max() < 1e-12
-
-
-@pytest.mark.parametrize("k, d", [(0, 1), (4, 0)])
-def test_correlate_at_rejects_non_positive_k_and_d(k, d):
-    pts = _cloud(9, 16)
-    table = knn_table(pts, pts, 4)
-    with pytest.raises(ValueError, match="need k >= 1 and d >= 1"):
-        correlate_at(pts, None, pts, table, _filter((8, 8, 2), 5), k, d)
 
 
 # set abstraction (FPS centers, then correlate at them) and feature
@@ -468,12 +464,12 @@ def test_feature_propagation_rotation_invariance():
 # ---------------------------------------------------------------------------
 
 
-def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt, k, d):
-    # every d-th of the k nearest, one row at a time; the centroid is the source mean
-    nbr = np.stack([[row[j] for j in range(0, k, d)] for row in neighbors])
-    x = relative_invariants(source_points[nbr], center_pos[:, None, :], source_points.mean(axis=0))
+def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt):
+    x = relative_invariants(
+        source_points[neighbors], center_pos[:, None, :], source_points.mean(axis=0)
+    )
     if source_feats is not None:
-        x = np.concatenate([x, source_feats[nbr]], axis=-1)
+        x = np.concatenate([x, source_feats[neighbors]], axis=-1)
     return _mlp_apply(filt, x).mean(axis=1)
 
 
@@ -568,7 +564,7 @@ def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(chunks, "_CHUNK_BYTES", budget)
-                correlate_at(pts, None, centers, table, _filter((8, 4), 0), 12, d)
+                correlate_at(pts, None, centers, nbr, _filter((8, 4), 0))
             assert (len(seen) > 1) == (budget < chunks._CHUNK_BYTES)
             got = np.concatenate(seen)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -592,12 +588,12 @@ def _assert_rel_close(got, ref, tol=1e-12):
 def test_correlate_at_matches_per_pair_oracle(cloud, d):
     pts = ORACLE_CLOUDS[cloud]
     centers = pts[::3]
-    table = knn_table(pts, centers, 15)  # wider than k: only the first k columns are read
+    nbr = knn_table(pts, centers, 15)[:, :12:d]  # every d-th of the 12 nearest
     feats = np.random.default_rng(4).standard_normal((len(pts), 5))
     for seed, hidden in enumerate([(), (16,), (16, 12)]):
         for f in (None, feats):
             filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
-            args = (pts, f, centers, table, filt, 12, d)
+            args = (pts, f, centers, nbr, filt)
             got = correlate_at(*args)
             ref = _correlate_oracle(*args)
             _assert_rel_close(got, ref)
@@ -647,7 +643,7 @@ def _block_sizes(monkeypatch, budget, run):
 def test_correlate_at_blocks_bitwise_equal_to_one_block(monkeypatch, d):
     pts = ORACLE_CLOUDS["blob"]
     centers = pts[::3]  # 50 centers
-    table = knn_table(pts, centers, 15)
+    nbr = knn_table(pts, centers, 15)[:, :12:d]
     feats = np.random.default_rng(5).standard_normal((len(pts), 5))
     for seed, hidden in enumerate([(), (16,), (16, 12)]):
         for f in (None, feats):
@@ -655,7 +651,7 @@ def test_correlate_at_blocks_bitwise_equal_to_one_block(monkeypatch, d):
             # ceil(12/d) pairs per center at the widest per-pair width; the
             # 6 outputs of a one-layer filter are narrower than 8 invariants
             row = 8 * len(range(0, 12, d)) * max((8,) + hidden)
-            run = lambda: correlate_at(pts, f, centers, table, filt, 12, d)  # noqa: E731
+            run = lambda: correlate_at(pts, f, centers, nbr, filt)  # noqa: E731
             ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
             assert sizes == [50]
             got, sizes = _block_sizes(monkeypatch, 1, run)
@@ -690,7 +686,7 @@ def test_correlate_at_memory_within_block_budget():
     filt = _filter((8 + 64, 64, 64), 7)
     tracemalloc.start()
     try:
-        out = correlate_at(pts, feats, pts, table, filt, 96, 3)
+        out = correlate_at(pts, feats, pts, table[:, :96:3], filt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,7 @@
 """Voxelizer unit behavior: window membership, shift equivariance, invariances."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from rotalith.geometry import cart_to_spherical, rot_z, spherical_to_cart
 from rotalith.harmonics import alpha_nodes, beta_nodes, h_nodes
 from rotalith.voxelize import (
     SamplingConfig,
+    _voxelize_spherical,
     grid_shift_alpha,
     normalize_cloud,
     voxelize,
@@ -198,6 +201,7 @@ def test_point_chunks_cover_rows_in_near_equal_chunks(monkeypatch):
         assert all(a.stop == b.start for a, b in zip(parts[:-1], parts[1:]))
         assert max(sizes) <= max(1, 80 // row_bytes)
         assert max(sizes) - min(sizes) <= 1
+    assert chunks._point_chunks(0, 8) == []  # no rows, no chunks
 
 
 def test_wide_window_grid_independent_of_chunk_budget(monkeypatch):
@@ -209,3 +213,17 @@ def test_wide_window_grid_independent_of_chunk_budget(monkeypatch):
     for budget in (1, 3 * per_point, 5 * per_point + 7):
         monkeypatch.setattr(chunks, "_LOOP_CHUNK_BYTES", budget)
         assert np.array_equal(voxelize(pts, B, cfg).data, default)
+
+
+def test_voxelize_holds_no_grid_temporaries_beyond_its_sums():
+    # 200 points at B = 32 leave small chunk temporaries beside the two
+    # (2B)^3 sums; the mean is divided into one of them, which becomes the grid
+    B, cfg = 32, SamplingConfig(xi=XI)
+    alpha, beta, h = cart_to_spherical(_cloud(12, n=200))
+    tracemalloc.start()
+    try:
+        grid = _voxelize_spherical(alpha, beta, h, B, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * grid.data.nbytes  # 5 MiB; each full-grid temporary adds 2 MiB
