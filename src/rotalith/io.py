@@ -5,8 +5,8 @@ starting a comment.  Archives are little-endian throughout: magic ``RTLH``,
 u32 version (currently 1), u32 tensor count, then per tensor a u32 name
 length, the UTF-8 name, a u8 rank, rank u64 dims, and the float32 payload.
 Label files hold one integer label per line, the last field of the line,
-so a labeled cloud file is also a label file.  Every malformed input maps to
-a structured error, never a crash.
+so a labeled cloud file is also a label file.  Text files and tensor names
+are UTF-8.  Every malformed input maps to a structured error, never a crash.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -44,37 +45,45 @@ def _label(token: str, where: str) -> int:
     return label
 
 
+def _text_lines(path, error: type[InputFormatError]) -> StringIO:
+    """A UTF-8 text file's lines, as text mode splits them; other bytes raise ``error``."""
+    data = Path(path).read_bytes()
+    try:
+        return StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
+        raise error(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+
+
 def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a cloud file into ``(points (N, 3), labels (N,) or None)``."""
-    path = Path(path)
     points: list[list[float]] = []
     labels: list[int] = []
     arity = None
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) not in (3, 4):
-                raise CloudFormatError(
-                    f"{path}:{lineno}: expected 3 or 4 fields, got {len(tokens)}"
-                )
-            if arity is None:
-                arity = len(tokens)
-            elif len(tokens) != arity:
-                raise CloudFormatError(
-                    f"{path}:{lineno}: mixed arity ({len(tokens)} fields after {arity})"
-                )
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise CloudFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
-            if not all(map(math.isfinite, values)):
-                raise CloudFormatError(f"{path}:{lineno}: non-finite field")
-            points.append(values[:3])
-            if arity == 4:
-                labels.append(_label(tokens[3], f"{path}:{lineno}"))
+    for lineno, raw in enumerate(_text_lines(path, CloudFormatError), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) not in (3, 4):
+            raise CloudFormatError(
+                f"{path}:{lineno}: expected 3 or 4 fields, got {len(tokens)}"
+            )
+        if arity is None:
+            arity = len(tokens)
+        elif len(tokens) != arity:
+            raise CloudFormatError(
+                f"{path}:{lineno}: mixed arity ({len(tokens)} fields after {arity})"
+            )
+        try:
+            values = [float(t) for t in tokens]
+        except ValueError as exc:
+            raise CloudFormatError(f"{path}:{lineno}: non-numeric field ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            raise CloudFormatError(f"{path}:{lineno}: non-finite field")
+        points.append(values[:3])
+        if arity == 4:
+            labels.append(_label(tokens[3], f"{path}:{lineno}"))
     if not points:
         raise CloudFormatError(f"{path}: no data lines")
     pts = np.asarray(points, dtype=float)
@@ -84,11 +93,10 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
 def read_labels(path) -> np.ndarray:
     """Parse a label file into ``(N,)`` int64 labels, one per data line."""
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            tokens = raw.split("#", 1)[0].split()
-            if tokens:
-                labels.append(_label(tokens[-1], f"{path}:{lineno}"))
+    for lineno, raw in enumerate(_text_lines(path, InputFormatError), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            labels.append(_label(tokens[-1], f"{path}:{lineno}"))
     if not labels:
         raise InputFormatError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)
@@ -140,7 +148,11 @@ def read_archive(path) -> dict[str, np.ndarray]:
             raise ArchiveFormatError(f"{path}: unsupported version {version}")
         for _ in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, path, "name length"))
-            name = _read_exact(fh, name_len, path, "name").decode("utf-8")
+            raw_name = _read_exact(fh, name_len, path, "name")
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ArchiveFormatError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
             if name in out:
                 raise ArchiveFormatError(f"{path}: duplicate tensor name {name!r}")
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, path, "rank"))

@@ -36,20 +36,16 @@ class PrinConfig:
     bandwidth: int = 8
     xi: float = 1.0 / 32.0
     mode: str = "daas"
-    svc_channels: int = 40
-    conv_channels: tuple[int, ...] = (40, 50)
+    channels: tuple[int, ...] = (40, 40, 50)  # each correlation's output width
     fc_widths: tuple[int, ...] = (50, 50)
 
     def __post_init__(self):
         if self.bandwidth < 2:
             raise ValueError(f"bandwidth must be >= 2, got {self.bandwidth}")
-        if min((self.svc_channels,) + self.conv_channels + self.fc_widths) < 1:
-            raise ValueError("all channel widths must be >= 1")
+        for name, widths in (("channels", self.channels), ("fc_widths", self.fc_widths)):
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} must hold at least one width, each >= 1, got {widths}")
         SamplingConfig(self.xi, self.mode)  # the voxelizer's check of xi and mode
-
-    @property
-    def layer_channels(self) -> tuple[int, ...]:
-        return (1, self.svc_channels) + self.conv_channels
 
 
 @dataclass(frozen=True)
@@ -151,7 +147,7 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}_b{j}"] = (w_out,)
 
     if isinstance(cfg, PrinConfig):
-        chans = cfg.layer_channels
+        chans = (1,) + cfg.channels
         nc = sh.n_coeffs(cfg.bandwidth - 1)
         for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
             shapes[f"svc{li}"] = (nc, c_out, c_in)
@@ -254,8 +250,7 @@ def prin_forward(
     points = _cloud_array(points)
     w = _checked_weights(weights, cfg)
     B = cfg.bandwidth
-    chans = cfg.layer_channels
-    filters = [SphericalFilter(B, coeffs=w[f"svc{li}"]) for li in range(len(chans) - 1)]
+    filters = [SphericalFilter(B, coeffs=w[f"svc{li}"]) for li in range(len(cfg.channels))]
     pp, gl = _mlp(w, "pp"), _mlp(w, "gl")
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
@@ -265,7 +260,7 @@ def prin_forward(
         if li != len(filters) - 1:
             np.maximum(act.data, 0.0, out=act.data)
     (W0, b0), *rest = pp
-    first = act.data.reshape(-1, chans[-1]) @ W0.T
+    first = act.data.reshape(-1, cfg.channels[-1]) @ W0.T
     first += b0
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
@@ -391,12 +386,15 @@ def match_descriptors(
 ) -> tuple[np.ndarray, float | None]:
     """Nearest-neighbor match of each row of ``da`` into ``db``.
 
-    Returns the index map and, when both label arrays are given, the fraction
-    of matches whose labels agree.  Squared distances are formed for chunks
-    of rows of ``da``, each within the chunk budget.
+    Returns the index map and, when both label arrays are given (one label
+    per row), the fraction of matches whose labels agree.  Squared distances
+    are formed for chunks of rows of ``da``, each within the chunk budget.
     """
     if da.channels != db.channels:
         raise ValueError(f"channel mismatch: {da.channels} vs {db.channels}")
+    for name, labels, d in (("labels_a", labels_a, da), ("labels_b", labels_b, db)):
+        if labels is not None and np.shape(labels) != (len(d.feats),):
+            raise ValueError(f"{name} has shape {np.shape(labels)} for {len(d.feats)} rows")
     a, b = da.feats, db.feats
     bb = np.einsum("jk,jk->j", b, b)[None, :]
     idx = np.empty(a.shape[0], dtype=np.int64)
@@ -679,6 +677,8 @@ def toy_protocol(
         raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
     if epochs < 1:
         raise InputFormatError(f"epochs (--epochs) must be >= 1, got {epochs}")
+    if n_per_class < 2:  # fewer leaves a class out of the train or the test half
+        raise InputFormatError(f"n_per_class (--n) must be >= 2, got {n_per_class}")
     if len(classes) < 2 or len(set(classes)) != len(classes):
         raise InputFormatError(
             f"classes (--classes) must name at least two distinct classes, got {list(classes)}"

@@ -10,7 +10,8 @@ per-point outputs are unchanged when the whole cloud rotates.  For each
 where beta_rel is the angle between the directions of x_i and x_j seen from
 the origin (the polar angle of ``tmap(x_j)^-1 @ x_i``), h_rel = |x_i|, the
 s's are the side lengths of the triangle (x_i, x_j, c) and the a's its inner
-angles at x_i, x_j, c.  Filters are plain fully connected stacks; since the
+angles at x_i, x_j, c.  Each layer's filter is a two-layer MLP,
+``8 (+ features) -> hidden -> channels`` with a rectifier between; since the
 azimuth of the relative point never enters, constancy on the z-coset holds
 identically rather than approximately.
 """
@@ -106,8 +107,6 @@ def _stable_smallest(d2: np.ndarray, k: int) -> np.ndarray:
     duplicate points) or the k-th distance is not finite take the full
     stable sort instead.
     """
-    if k == d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")
     cand = np.argpartition(d2, k - 1, axis=1)[:, :k]
     kth = np.take_along_axis(d2, cand[:, k - 1 :], axis=1)
     exact = np.count_nonzero(d2 <= kth, axis=1) != k
@@ -199,48 +198,36 @@ def correlate_at(
     neighbors the layer reads; a layer with (k, d) reads every d-th of the
     first k columns of a :func:`knn_table`, ``ceil(k/d)`` per center (see
     :func:`dilated_knn`).  The centroid of the invariants is the mean of
-    ``source_points``.  ``layers`` is the filter's ``(W, b)`` list:
-    rectifier between layers, linear output.  The result equals the mean
-    over neighbors of the filter run on ``[invariants || features]`` per
-    pair, but only the invariants' part of the first layer and the hidden
-    layers run per pair.  That per-pair work runs in blocks of centers, as
-    many as fit the chunk budget (``chunks._CHUNK_BYTES``) at
-    ``8 * neighbors.shape[1] * w`` bytes per center, w the widest of the 8
-    invariants and the per-pair layers, and at least one.  A block leaves
-    only its neighbor mean; no bit depends on the block size.
+    ``source_points``.  ``layers`` is the two-layer filter
+    ``[(W0, b0), (W1, b1)]`` with a rectifier between; any other depth
+    raises ValueError.  The result is the neighbor mean of the filter on
+    ``[invariants || features]`` per pair, but only the first layer's
+    invariant columns and the rectifier run per pair, in blocks of centers
+    within the chunk budget (``chunks._CHUNK_BYTES``) at
+    ``8 * neighbors.shape[1] * max(8, hidden)`` bytes per center, at least
+    one.  A block leaves only its neighbor mean; no bit depends on its size.
     """
+    if len(layers) != 2:
+        raise ValueError(f"correlate_at runs a two-layer filter, got {len(layers)} layers")
+    (W0, b0), (W1, b1) = layers
     expected = 8 + (0 if source_feats is None else source_feats.shape[1])
-    in_width = layers[0][0].shape[1]
-    if in_width != expected:
-        raise ValueError(f"filter expects input width {in_width}, features give {expected}")
+    if W0.shape[1] != expected:
+        raise ValueError(f"filter expects input width {W0.shape[1]}, features give {expected}")
     centroid = source_points.mean(axis=0)[:, None]
     # the invariants' per-point terms once per source point and per center
     src = _point_terms(source_points.T, centroid)
     cen = _point_terms(center_pos.T, centroid)
     # first layer: the feature columns and the bias act once per source point
-    W0, b0 = layers[0]
     point = None if source_feats is None else source_feats @ W0[:, 8:].T + b0
-    # the first layer's invariant columns and the hidden layers run per
-    # pair; the output layer is affine, so it commutes with the mean and
-    # runs once per center on it (a one-layer filter has none after it)
-    per_pair = layers[: max(1, len(layers) - 1)]
-    widths = [8] + [W.shape[0] for W, _ in per_pair]
-    mean = np.empty((neighbors.shape[0], widths[-1]))
-    for rows in chunks._point_chunks(neighbors.shape[0], 8 * neighbors.shape[1] * max(widths)):
+    # its invariant columns and the rectifier run per pair; the second layer
+    # is affine, so it commutes with the mean and runs once per center on it
+    hidden = W0.shape[0]
+    mean = np.empty((neighbors.shape[0], hidden))
+    for rows in chunks._point_chunks(neighbors.shape[0], 8 * neighbors.shape[1] * max(8, hidden)):
         idx = neighbors[rows]
         inv = _invariants(src[:, idx], cen[:, rows, None])
-        if point is None:
-            h = inv @ W0.T + b0
-        else:
-            h = inv @ W0[:, :8].T
-            h += point[idx]
-        for W, b in per_pair[1:]:
-            np.maximum(h, 0.0, out=h)
-            h = h @ W.T + b
-        if len(layers) > 1:
-            np.maximum(h, 0.0, out=h)
+        h = inv @ W0[:, :8].T
+        h += b0 if point is None else point[idx]
+        np.maximum(h, 0.0, out=h)
         mean[rows] = h.mean(axis=1)
-    if len(layers) == 1:
-        return mean
-    W, b = layers[-1]
-    return mean @ W.T + b
+    return mean @ W1.T + b1

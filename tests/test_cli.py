@@ -8,7 +8,7 @@ import pytest
 
 from rotalith.cli import main
 from rotalith.geometry import random_rotation
-from rotalith.io import read_archive, read_cloud, write_cloud
+from rotalith.io import read_archive, read_cloud, write_archive, write_cloud
 from rotalith.pipeline import blob_cloud
 from rotalith.voxelize import SamplingConfig, normalize_cloud, voxelize
 
@@ -418,6 +418,14 @@ def test_toy_zero_clouds_exits_2(capsys):
     assert "--n" in err
 
 
+def test_toy_one_cloud_per_class_exits_2(capsys):
+    # one cloud per class would leave class 1 out of training
+    code, stdout, err = run_cli(capsys, "toy", "--classes", "sphere,cube", "--n", "1")
+    assert code == 2
+    assert stdout == ""
+    assert "--n" in err
+
+
 def test_toy_divergence_exits_3(capsys):
     code, _, err = run_cli(
         capsys, "toy", "--classes", "sphere,cube", "--n", "2", "--points", "128",
@@ -550,6 +558,32 @@ def test_fps_cloud_label_outside_int64_exits_2(tmp_path, capsys):
     assert code == 2
     assert stdout == ""
     assert f"{cloud}:2: " in err
+
+
+@pytest.mark.parametrize("command", ["fps", "knn"])
+def test_cloud_not_utf8_exits_2_naming_the_file(tmp_path, capsys, command):
+    cloud = tmp_path / "c.xyz"
+    cloud.write_bytes(b"0 0 0\n0.5 0 0 \xff\n")
+    flag = "--m" if command == "fps" else "--k"
+    code, stdout, err = run_cli(capsys, command, "--in", str(cloud), flag, "1")
+    assert code == 2
+    assert stdout == ""
+    assert f"{cloud}:2: not UTF-8 text (byte 0xff)" in err
+
+
+def test_match_labels_not_utf8_exit_2_naming_the_file(tmp_path, capsys):
+    feats = tmp_path / "f.rtlh"
+    write_archive(feats, {"features": np.eye(2)})
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("0\n1\n")
+    bad.write_bytes(b"0\n1 # \xe9t\xe9\n")  # latin-1 in a comment
+    code, stdout, err = run_cli(
+        capsys, "match", "--a", str(feats), "--b", str(feats),
+        "--labels-a", str(good), "--labels-b", str(bad),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert f"{bad}:2: not UTF-8 text (byte 0xe9)" in err
 
 
 @pytest.mark.parametrize(

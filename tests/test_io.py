@@ -1,5 +1,6 @@
 """Cloud files and tensor archives: round trips and structured failure modes."""
 
+import re
 import struct
 
 import numpy as np
@@ -49,6 +50,44 @@ def test_cloud_malformed_inputs(tmp_path, content):
     path.write_text(content)
     with pytest.raises(CloudFormatError):
         read_cloud(path)
+
+
+@pytest.mark.parametrize(
+    "content, line",
+    [
+        (b"0 0 0\n0 0 1 # caf\xe9\n", 2),
+        (b"\xff\xfe0 0 0\n", 1),
+        (b"0 0 0\n\n1 \x80 0\n", 3),
+        (b"0 0 0\r\n0 0 1\r1 \x80 0\r", 3),  # lines end as text mode reads them
+    ],
+    ids=["latin-1-comment", "utf-16-bom", "field", "cr-line-ends"],
+)
+def test_cloud_not_utf8_names_the_line(tmp_path, content, line):
+    path = tmp_path / "bad.xyz"
+    path.write_bytes(content)
+    with pytest.raises(CloudFormatError, match=re.escape(f"{path}:{line}: not UTF-8 text")):
+        read_cloud(path)
+
+
+def test_cloud_line_ends_as_text_mode_reads_them(tmp_path):
+    path = tmp_path / "c.xyz"
+    path.write_bytes(b"0 0 0\r\n1 2 3\r4 5 6\n")
+    pts, _ = read_cloud(path)
+    assert pts.tolist() == [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
+def test_cloud_utf8_comment_is_read(tmp_path):
+    path = tmp_path / "c.xyz"
+    path.write_bytes("0 0 0 # café\n1 2 3\n".encode("utf-8"))
+    pts, _ = read_cloud(path)
+    assert pts.tolist() == [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]]
+
+
+def test_labels_not_utf8_names_the_line(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes(b"1\n\xff2\n")
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}:2: not UTF-8 text (byte 0xff)")):
+        read_labels(path)
 
 
 def test_cloud_error_carries_line_number(tmp_path):
@@ -143,6 +182,14 @@ def test_archive_declared_payload_beyond_file(tmp_path):
     # dims whose product wraps a signed 64-bit integer to a small number
     path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"a") + struct.pack("<B2Q", 2, 1 << 32, 1 << 32))
     with pytest.raises(ArchiveFormatError, match="truncated"):
+        read_archive(path)
+
+
+def test_archive_tensor_name_not_utf8(tmp_path):
+    path = tmp_path / "n.rtlh"
+    path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"\xff") + struct.pack("<BQ", 1, 0))
+    want = rf"{path}: tensor name b'\xff' is not UTF-8"
+    with pytest.raises(ArchiveFormatError, match=re.escape(want)):
         read_archive(path)
 
 

@@ -113,6 +113,26 @@ def test_prin_config_rejects_bad_sampling(kwargs, match):
 
 
 @pytest.mark.parametrize(
+    "kwargs",
+    [{"fc_widths": ()}, {"channels": ()}, {"channels": (40, 0, 50)}, {"fc_widths": (50, -1)}],
+    ids=["no-fc", "no-channels", "zero-channel", "negative-fc"],
+)
+def test_prin_config_rejects_bad_widths(kwargs):
+    # an empty fc_widths would fail only in forward, unpacking the pp head
+    ((name, widths),) = kwargs.items()
+    with pytest.raises(ValueError, match=re.escape(f"{name} must hold at least one width, "
+                                                   f"each >= 1, got {widths}")):
+        PrinConfig(bandwidth=4, **kwargs)
+
+
+def test_prin_config_channels_give_the_svc_shapes():
+    cfg = PrinConfig(bandwidth=4, channels=(3, 5))
+    w = init_weights(cfg, 0)
+    assert [w[k].shape for k in w if k.startswith("svc")] == [(16, 3, 1), (16, 5, 3)]
+    assert w["pp_w0"].shape == (50, 5) and w["gl_w0"].shape == (50, 5)
+
+
+@pytest.mark.parametrize(
     "encoder",
     [
         ((16, _ONE),),  # the first stage downsamples
@@ -303,7 +323,7 @@ def _ball_prin_forward(points, weights, cfg):
     """The dense path composed on the (2B)^3 ball: every activation is a
     radially constant grid and per-point features are read trilinearly."""
     grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
-    n_layers = len(cfg.layer_channels) - 1
+    n_layers = len(cfg.channels)
     for li in range(n_layers):
         psi = SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"])
         grid = _radially_constant(svc_spectral(grid, psi))
@@ -358,7 +378,7 @@ def test_prin_chunked_read_out_is_exact(monkeypatch):
     # 150 and 400 rows of 50 float64 channels: ragged chunks of 142/143 and 333/334
     for rows, n_chunks in ((150, 7), (400, 3)):
         head_rows.clear()
-        monkeypatch.setattr(chunks, "_CHUNK_BYTES", 8 * cfg.layer_channels[-1] * rows)
+        monkeypatch.setattr(chunks, "_CHUNK_BYTES", 8 * cfg.channels[-1] * rows)
         per_point, global_feat = prin_forward(pts, w, cfg)
         assert len(head_rows) == n_chunks and sum(head_rows) == 1000
         assert np.array_equal(per_point, ref_pp)
@@ -485,6 +505,21 @@ def test_match_channel_mismatch():
         match_descriptors(Descriptor(np.zeros((3, 4))), Descriptor(np.zeros((3, 5))))
 
 
+@pytest.mark.parametrize(
+    "labels_a, labels_b, match",
+    [
+        ([0], [0, 1, 2], "labels_a has shape (1,) for 3 rows"),  # would broadcast
+        ([0, 1, 2], [0, 1], "labels_b has shape (2,) for 3 rows"),  # would index past it
+        ([[0], [1], [2]], [0, 1, 2], "labels_a has shape (3, 1) for 3 rows"),  # would give 3 x 3
+    ],
+    ids=["short-a", "short-b", "column-a"],
+)
+def test_match_rejects_labels_other_than_one_per_row(labels_a, labels_b, match):
+    d = Descriptor(np.eye(3))
+    with pytest.raises(ValueError, match=re.escape(match)):
+        match_descriptors(d, d, np.array(labels_a), np.array(labels_b))
+
+
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (4,), (2, 3, 4)])
 def test_descriptor_rejects_all_but_a_non_empty_n_by_c_array(shape):
     match = r"non-empty \(N, C\) feature array, got " + re.escape(str(shape))
@@ -557,6 +592,14 @@ def test_toy_synth_sphere_sampler_unit_norms():
     pts, labels = _sample_sphere(256, np.random.default_rng(0))
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
     assert set(np.unique(labels)) <= {0, 1}
+
+
+def test_toy_protocol_rejects_one_cloud_per_class():
+    # the parity split would train on class 0's only cloud and test on class 1's
+    from rotalith.pipeline import toy_protocol
+
+    with pytest.raises(InputFormatError, match=r"n_per_class \(--n\) must be >= 2, got 1"):
+        toy_protocol(classes=("sphere", "cube"), n_per_class=1, n_points=128, epochs=1)
 
 
 def test_toy_synth_validation():

@@ -153,8 +153,11 @@ def _straddles(source, centers, k):
         (_lattice(), _lattice(), 10),  # 6 face neighbors + 12 edge neighbors straddle k
         (np.concatenate([_cloud(22, 40)] * 3), _cloud(22, 40), 5),  # every point three times
         (_cloud(23, 50), _cloud(24, 9), 50),  # k == N
+        (_lattice(4), _lattice(4), 64),  # k == N with ties at every shell
+        (np.concatenate([_cloud(28, 12)] * 3), _cloud(28, 12), 36),  # k == N, triplicated
     ],
-    ids=["generic", "lattice", "duplicates", "k-equals-n"],
+    ids=["generic", "lattice", "duplicates", "k-equals-n", "lattice-k-equals-n",
+         "duplicates-k-equals-n"],
 )
 def test_knn_table_matches_stable_argsort(source, centers, k):
     got = knn_table(source, centers, k)
@@ -340,9 +343,17 @@ def _correlate(source, feats, centers, filt, k):
 def test_constant_filter_gives_constant_output():
     pts = _cloud(4, 30)
     v = np.array([1.0, -2.0, 3.0])
-    filt = [(np.zeros((3, 8)), v)]
+    (W0, b0), _ = _filter((8, 16, 3), 0)
+    filt = [(W0, b0), (np.zeros((3, 16)), v)]
     out = _correlate(pts, None, pts, filt, 8)
     assert np.abs(out - v).max() < 1e-12
+
+
+@pytest.mark.parametrize("widths", [(8, 3), (8, 16, 12, 3)], ids=["one-layer", "three-layer"])
+def test_correlate_at_rejects_other_filter_depths(widths):
+    pts = _cloud(4, 30)
+    with pytest.raises(ValueError, match=f"two-layer filter, got {len(widths) - 1} layers"):
+        _correlate(pts, None, pts, _filter(widths, 0), 8)
 
 
 def test_single_point_cloud():
@@ -564,7 +575,7 @@ def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(chunks, "_CHUNK_BYTES", budget)
-                correlate_at(pts, None, centers, nbr, _filter((8, 4), 0))
+                correlate_at(pts, None, centers, nbr, _filter((8, 4, 4), 0))
             assert (len(seen) > 1) == (budget < chunks._CHUNK_BYTES)
             got = np.concatenate(seen)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
@@ -590,13 +601,12 @@ def test_correlate_at_matches_per_pair_oracle(cloud, d):
     centers = pts[::3]
     nbr = knn_table(pts, centers, 15)[:, :12:d]  # every d-th of the 12 nearest
     feats = np.random.default_rng(4).standard_normal((len(pts), 5))
-    for seed, hidden in enumerate([(), (16,), (16, 12)]):
-        for f in (None, feats):
-            filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
-            args = (pts, f, centers, nbr, filt)
-            got = correlate_at(*args)
-            ref = _correlate_oracle(*args)
-            _assert_rel_close(got, ref)
+    for f in (None, feats):
+        filt = _filter((8 + (0 if f is None else 5), 16, 6), 1)
+        args = (pts, f, centers, nbr, filt)
+        got = correlate_at(*args)
+        ref = _correlate_oracle(*args)
+        _assert_rel_close(got, ref)
 
 
 @pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS), ids=lambda c: f"{c}-mean")
@@ -645,20 +655,17 @@ def test_correlate_at_blocks_bitwise_equal_to_one_block(monkeypatch, d):
     centers = pts[::3]  # 50 centers
     nbr = knn_table(pts, centers, 15)[:, :12:d]
     feats = np.random.default_rng(5).standard_normal((len(pts), 5))
-    for seed, hidden in enumerate([(), (16,), (16, 12)]):
-        for f in (None, feats):
-            filt = _filter((8 + (0 if f is None else 5),) + hidden + (6,), seed)
-            # ceil(12/d) pairs per center at the widest per-pair width; the
-            # 6 outputs of a one-layer filter are narrower than 8 invariants
-            row = 8 * len(range(0, 12, d)) * max((8,) + hidden)
-            run = lambda: correlate_at(pts, f, centers, nbr, filt)  # noqa: E731
-            ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
-            assert sizes == [50]
-            got, sizes = _block_sizes(monkeypatch, 1, run)
-            assert sizes == [1] * 50 and got.tobytes() == ref.tobytes()
-            got, sizes = _block_sizes(monkeypatch, 7 * row, run)  # 8 blocks of 6 or 7
-            assert sorted(set(sizes)) == [6, 7] and sum(sizes) == 50
-            assert got.tobytes() == ref.tobytes()
+    for f in (None, feats):
+        filt = _filter((8 + (0 if f is None else 5), 16, 6), 1)
+        row = 8 * len(range(0, 12, d)) * 16  # ceil(12/d) pairs per center at 16 hidden
+        run = lambda: correlate_at(pts, f, centers, nbr, filt)  # noqa: E731
+        ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
+        assert sizes == [50]
+        got, sizes = _block_sizes(monkeypatch, 1, run)
+        assert sizes == [1] * 50 and got.tobytes() == ref.tobytes()
+        got, sizes = _block_sizes(monkeypatch, 7 * row, run)  # 8 blocks of 6 or 7
+        assert sorted(set(sizes)) == [6, 7] and sum(sizes) == 50
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_sprin_forward_blocks_bitwise_equal_to_one_block(monkeypatch):
