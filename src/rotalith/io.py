@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterator
 from io import StringIO
 from pathlib import Path
 
@@ -45,14 +46,21 @@ def _label(token: str, where: str) -> int:
     return label
 
 
-def _text_lines(path, error: type[InputFormatError]) -> StringIO:
-    """A UTF-8 text file's lines, as text mode splits them; other bytes raise ``error``."""
+def _text_lines(path, error: type[InputFormatError]) -> Iterator[str]:
+    """A UTF-8 file's lines, streamed; a byte that is not UTF-8 raises ``error`` naming its line."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError:
+            pass
     data = Path(path).read_bytes()
     try:
-        return StringIO(data.decode("utf-8"), newline=None)
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+    raise error(f"{path}: not UTF-8 text")
 
 
 def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:

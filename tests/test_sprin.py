@@ -343,8 +343,8 @@ def _correlate(source, feats, centers, filt, k):
 def test_constant_filter_gives_constant_output():
     pts = _cloud(4, 30)
     v = np.array([1.0, -2.0, 3.0])
-    (W0, b0), _ = _filter((8, 16, 3), 0)
-    filt = [(W0, b0), (np.zeros((3, 16)), v)]
+    # Every pair gives |v| after the rectifier; the output is v only if the neighbor mean is exact.
+    filt = [(np.zeros((3, 8)), np.abs(v)), (np.diag(np.sign(v)), np.zeros(3))]
     out = _correlate(pts, None, pts, filt, 8)
     assert np.abs(out - v).max() < 1e-12
 
