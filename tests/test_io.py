@@ -59,8 +59,9 @@ def test_cloud_malformed_inputs(tmp_path, content):
         (b"\xff\xfe0 0 0\n", 1),
         (b"0 0 0\n\n1 \x80 0\n", 3),
         (b"0 0 0\r\n0 0 1\r1 \x80 0\r", 3),  # lines end as text mode reads them
+        (b"0 0 0\n" * 5000 + b"0 0 1 # \xff\n", 5001),  # past the first read buffer
     ],
-    ids=["latin-1-comment", "utf-16-bom", "field", "cr-line-ends"],
+    ids=["latin-1-comment", "utf-16-bom", "field", "cr-line-ends", "late-byte"],
 )
 def test_cloud_not_utf8_names_the_line(tmp_path, content, line):
     path = tmp_path / "bad.xyz"
