@@ -19,14 +19,13 @@ from . import chunks
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
-from .so3 import SphericalFilter, gamma_average, svc_sphere
+from .so3 import gamma_average, svc_sphere
 from .sprin import correlate_at, farthest_point_sampling, knn_table
 from .voxelize import SamplingConfig, _cloud_array, normalize_cloud
 
 # prin_forward's voxelizer stage, bound as `voxelize`: the name perfbench's
 # tracer times.  It takes the spherical coordinates the read-out reuses.
 from .voxelize import _voxelize_spherical as voxelize
-from . import harmonics as sh
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,9 @@ class Descriptor:
 
 def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
     """Every weight key the config's forward pass reads, with its shape, in
-    the order :func:`init_weights` draws them.  An MLP under ``prefix``
-    holds ``prefix_w{j}`` ``(out, in)`` and ``prefix_b{j}`` ``(out,)``."""
+    the order :func:`init_weights` draws them.  An MLP under ``prefix`` holds
+    ``prefix_w{j}`` ``(out, in)`` and ``prefix_b{j}`` ``(out,)``; ``svc{i}``
+    holds the zonal rows ``psi_l0`` of a correlation, ``(B, C_out, C_in)``."""
     shapes: dict[str, tuple[int, ...]] = {}
 
     def mlp(prefix: str, widths: tuple[int, ...]) -> None:
@@ -148,9 +148,8 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
 
     if isinstance(cfg, PrinConfig):
         chans = (1,) + cfg.channels
-        nc = sh.n_coeffs(cfg.bandwidth - 1)
         for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
-            shapes[f"svc{li}"] = (nc, c_out, c_in)
+            shapes[f"svc{li}"] = (cfg.bandwidth, c_out, c_in)
         mlp("pp", (chans[-1],) + cfg.fc_widths)
         mlp("gl", (chans[-1],) + cfg.fc_widths)
     elif isinstance(cfg, SprinConfig):
@@ -170,13 +169,18 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
 
 def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
     """Seeded scaled-normal initialization for every filter and head: normal
-    with variance 2 / fan-in (the last axis) for weights, zero biases."""
+    with variance 2 / fan-in (the last axis) for weights, zero biases.  Each
+    ``svc{i}`` keeps the zonal rows of a full ``(B^2, C_out, C_in)`` draw."""
     rng = np.random.default_rng(seed)
-    return {
-        key: rng.standard_normal(shape) * np.sqrt(2.0 / shape[-1]) if len(shape) > 1
-        else np.zeros(shape)
-        for key, shape in _weight_shapes(cfg).items()
-    }
+    weights = {}
+    for key, shape in _weight_shapes(cfg).items():
+        if key.startswith("svc"):  # coefficient (l, m=0) is row l(l+1)
+            l = np.arange(shape[0])
+            draw = rng.standard_normal((shape[0] ** 2,) + shape[1:])[l * (l + 1)]
+        else:
+            draw = rng.standard_normal(shape) if len(shape) > 1 else np.zeros(shape)
+        weights[key] = draw * np.sqrt(2.0 / shape[-1])
+    return weights
 
 
 def _checked_weights(weights: dict, cfg) -> dict[str, np.ndarray]:
@@ -250,14 +254,13 @@ def prin_forward(
     points = _cloud_array(points)
     w = _checked_weights(weights, cfg)
     B = cfg.bandwidth
-    filters = [SphericalFilter(B, coeffs=w[f"svc{li}"]) for li in range(len(cfg.channels))]
     pp, gl = _mlp(w, "pp"), _mlp(w, "gl")
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
     act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
-    for li, psi in enumerate(filters):
-        act = svc_sphere(act, psi)
-        if li != len(filters) - 1:
+    for li in range(len(cfg.channels)):
+        act = svc_sphere(act, w[f"svc{li}"])
+        if li != len(cfg.channels) - 1:
             np.maximum(act.data, 0.0, out=act.data)
     (W0, b0), *rest = pp
     first = act.data.reshape(-1, cfg.channels[-1]) @ W0.T
@@ -568,7 +571,7 @@ def train_head(
     """Fit a softmax head by full-batch gradient descent; deterministic per seed.
 
     Features are standardized column-wise before training.  Raises
-    :class:`NumericError` if the loss goes non-finite.
+    :class:`NumericError` when the loss or an updated parameter is non-finite.
     """
     feats = np.asarray(feats, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
@@ -585,13 +588,11 @@ def train_head(
     curve: list[float] = []
     for epoch in range(epochs):
         loss, grads = head_loss_and_grad(params, X, labels)
-        if not np.isfinite(loss) or not all(
-            np.all(np.isfinite(W)) and np.all(np.isfinite(b)) for W, b in params
-        ):
+        params = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(params, grads)]
+        if not (np.isfinite(loss) and all(np.isfinite(a).all() for pair in params for a in pair)):
             raise NumericError(
                 f"head training diverged at epoch {epoch} (loss={loss}); lower the learning rate"
             )
-        params = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(params, grads)]
         pred = np.argmax(_head_forward(params, X)[-1], axis=1)
         curve.append(float(np.mean(pred == labels)))
     return TrainedHead(params, mu, sd), curve
@@ -677,6 +678,8 @@ def toy_protocol(
         raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
     if epochs < 1:
         raise InputFormatError(f"epochs (--epochs) must be >= 1, got {epochs}")
+    if not 0.0 <= lr < np.inf:
+        raise InputFormatError(f"lr (--lr) must be finite and >= 0, got {lr}")
     if n_per_class < 2:  # fewer leaves a class out of the train or the test half
         raise InputFormatError(f"n_per_class (--n) must be >= 2, got {n_per_class}")
     if len(classes) < 2 or len(set(classes)) != len(classes):

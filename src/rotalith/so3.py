@@ -21,8 +21,8 @@ functions on the sphere evaluated at the rotated north pole
   ``g`` is the gamma-averaged signal.
 
 :func:`svc_sphere` is the one spectral kernel: it maps a gamma-averaged
-``(2B, 2B, C_in)`` sphere signal to the output, so layers chain on the
-sphere.  :func:`svc_spectral` applies it to a ball grid.
+``(2B, 2B, C_in)`` sphere signal and the zonal rows ``psi_l0`` to the output,
+so layers chain on the sphere.  :func:`svc_spectral` applies it to a ball grid.
 :func:`svc_bruteforce` never forms coefficients; it sums the integrand over
 the full Euler grid and serves as the independent oracle for
 :func:`svc_spectral`.
@@ -85,14 +85,6 @@ class SphericalFilter:
     def degree(self) -> int:
         return sh._degree(self.coeffs)
 
-    @property
-    def c_out(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def c_in(self) -> int:
-        return self.coeffs.shape[2]
-
 
 def gamma_average(grid: SphericalGrid) -> S2Signal:
     """Average over the gamma axis (the inner coset integral, mass 1).
@@ -150,9 +142,9 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     if psi.bandwidth != B:
         raise ValueError(f"bandwidth mismatch: signal B={B}, filter B={psi.bandwidth}")
     n = 2 * B
-    c_in, c_out = f.channels, psi.c_out
-    if psi.c_in != c_in:
-        raise ValueError(f"channel mismatch: signal C={c_in}, filter C_in={psi.c_in}")
+    c_in, (c_out, psi_c_in) = f.channels, psi.coeffs.shape[1:]
+    if psi_c_in != c_in:
+        raise ValueError(f"channel mismatch: signal C={c_in}, filter C_in={psi_c_in}")
 
     # inner integral: mean over the gamma circle; a gamma shift permutes the
     # index circle, so the mean is the same for every base rotation on a fiber
@@ -192,40 +184,45 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     return S2Signal(B, out_dir.reshape(n, n, c_out))
 
 
-def _svc_output_coeffs(g: S2Signal, psi: SphericalFilter) -> np.ndarray:
-    B = g.bandwidth
+def _zonal_rows(psi: SphericalFilter, B: int) -> np.ndarray:
+    """The filter's zonal coefficients ``psi_l0``, shape ``(L+1, C_out, C_in)``."""
     if psi.bandwidth != B:
         raise ValueError(f"bandwidth mismatch: signal B={B}, filter B={psi.bandwidth}")
-    if psi.c_in != g.channels:
-        raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={psi.c_in}")
-    L = psi.degree
-    g_hat = sh.sh_analysis(g.data, B, L)  # (ncoeff, C_in)
-    out = np.empty((g_hat.shape[0], psi.c_out))
+    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(psi.degree + 1)]]
+
+
+def _svc_output_coeffs(g: S2Signal, zonal: np.ndarray) -> np.ndarray:
+    B = g.bandwidth
+    if zonal.ndim != 3 or not 1 <= len(zonal) <= B:
+        raise ValueError(f"zonal rows {zonal.shape} are not (L+1, C_out, C_in), L < bandwidth {B}")
+    if zonal.shape[2] != g.channels:
+        raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={zonal.shape[2]}")
+    g_hat = sh.sh_analysis(g.data, B, zonal.shape[0] - 1)  # (ncoeff, C_in)
+    out = np.empty((g_hat.shape[0], zonal.shape[1]))
     # out_lm[c_out] = sum_cin g_lm[cin] * psi_l0[c_out, cin] / sqrt(4 pi (2l + 1))
-    for l in range(L + 1):
+    for l, psi_l0 in enumerate(zonal):
         rows = slice(l * l, (l + 1) * (l + 1))
-        zonal = psi.coeffs[sh.coeff_index(l, 0)] / np.sqrt(4.0 * np.pi * (2 * l + 1))
-        np.matmul(g_hat[rows], zonal.T, out=out[rows])
+        np.matmul(g_hat[rows], (psi_l0 / np.sqrt(4.0 * np.pi * (2 * l + 1))).T, out=out[rows])
     return out
 
 
-def svc_sphere(g: S2Signal, psi: SphericalFilter) -> S2Signal:
+def svc_sphere(g: S2Signal, zonal: np.ndarray) -> S2Signal:
     """Voxel correlation of a gamma-averaged signal, kept on the sphere.
 
-    ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input; the result is
-    the ``(2B, 2B, C_out)`` output.  Non-zonal filter components integrate
-    out of the correlation and do not contribute.
+    ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input, ``zonal``
+    the filter's zonal rows ``psi_l0``, ``(L+1, C_out, C_in)`` with L < B
+    (non-zonal components integrate out); the result is ``(2B, 2B, C_out)``.
     """
-    return S2Signal(g.bandwidth, sh.sh_synthesis(_svc_output_coeffs(g, psi), g.bandwidth))
+    return S2Signal(g.bandwidth, sh.sh_synthesis(_svc_output_coeffs(g, zonal), g.bandwidth))
 
 
 def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation through harmonic analysis and per-degree products.
 
     Same contract as :func:`svc_bruteforce`: the :func:`svc_sphere` output of
-    the gamma-averaged ``f``.
+    the gamma-averaged ``f`` and the zonal rows of ``psi``.
     """
-    return svc_sphere(gamma_average(f), psi)
+    return svc_sphere(gamma_average(f), _zonal_rows(psi, f.bandwidth))
 
 
 def rotate_grid(f: SphericalGrid, Q: np.ndarray) -> SphericalGrid:
@@ -255,8 +252,8 @@ def equivariance_report(
     grid; deterministic.
     """
     B = f.bandwidth
-    out_hat_rot = _svc_output_coeffs(gamma_average(rotate_grid(f, Q)), psi)
-    out_hat = _svc_output_coeffs(gamma_average(f), psi)
+    out_hat_rot = _svc_output_coeffs(gamma_average(rotate_grid(f, Q)), _zonal_rows(psi, B))
+    out_hat = _svc_output_coeffs(gamma_average(f), _zonal_rows(psi, B))
     rotated = sh.grid_dirs(B) @ np.asarray(Q, dtype=float).T  # Q @ dir per row
     lhs = sh.sh_eval(out_hat_rot, rotated)  # [psi * L_Q f](Q p)
     rhs = sh.sh_synthesis(out_hat, B).reshape(lhs.shape)

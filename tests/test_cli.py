@@ -351,6 +351,28 @@ def test_features_weights_of_another_config_exit_2(cloud_file, tmp_path, capsys)
     assert "'enc0_0_w0'" in err and "(64, 8)" in err
 
 
+def test_features_weights_with_full_sh_svc_rows_exit_2(cloud_file, tmp_path, capsys):
+    from rotalith.io import write_archive
+    from rotalith.pipeline import PrinConfig, init_weights
+
+    # the archive format before svc{i} held only its B zonal rows: all B^2
+    # SH coefficients, (16, C_out, C_in) at B = 4
+    weights = init_weights(PrinConfig(bandwidth=4), 0)
+    rng = np.random.default_rng(0)
+    for key in ("svc0", "svc1", "svc2"):
+        weights[key] = rng.standard_normal((16,) + weights[key].shape[1:])
+    wpath = tmp_path / "old.rtlh"
+    write_archive(wpath, weights)
+    out = tmp_path / "f.rtlh"
+    code, stdout, err = run_cli(
+        capsys, "features", "--pipeline", "prin", "--bandwidth", "4", "--in", str(cloud_file),
+        "--weights", str(wpath), "--out", str(out),
+    )
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert "'svc0'" in err and "(16, 40, 1)" in err and "(4, 40, 1)" in err
+
+
 def test_bench_csv(capsys):
     code, stdout, _ = run_cli(
         capsys, "bench", "--op", "svc", "--bandwidth", "2", "--impl", "spectral", "--repeat", "2"
@@ -407,6 +429,24 @@ def test_toy_small_run(capsys):
     )
     assert code == 0
     assert "nr_accuracy=" in stdout and "ar_accuracy=" in stdout and "gap=" in stdout
+
+
+_TOY_PRIN4 = ("toy", "--pipeline", "prin", "--bandwidth", "4", "--classes", "sphere,cube",
+              "--n", "2", "--points", "64", "--epochs", "1")
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-0.5"])
+def test_toy_non_finite_or_negative_lr_exits_2(capsys, lr):
+    code, stdout, err = run_cli(capsys, *_TOY_PRIN4, "--lr", lr)
+    assert code == 2
+    assert stdout == ""
+    assert "--lr" in err
+
+
+def test_toy_lr_zero_runs(capsys):
+    code, stdout, _ = run_cli(capsys, *_TOY_PRIN4, "--lr", "0")
+    assert code == 0
+    assert "nr_accuracy=" in stdout
 
 
 def test_toy_zero_clouds_exits_2(capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import rotalith.chunks as chunks
+import rotalith.harmonics as sh
 import rotalith.pipeline as pipeline_module
 from rotalith.errors import InputFormatError, NumericError
 from rotalith.geometry import cart_to_spherical, random_rotation, rot_z
@@ -50,6 +51,29 @@ def test_init_weights_deterministic_and_different_across_seeds():
     for k in a:
         assert np.array_equal(a[k], b[k])
     assert any(not np.array_equal(a[k], c[k]) for k in a)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("B", [4, 8])
+def test_init_weights_keeps_the_zonal_rows_of_the_full_draw(B, seed):
+    # replay the draw as it was when svc{i} held all (B^2, C_out, C_in) SH
+    # coefficients: the same stream in schema order, every value kept bitwise
+    # (criterion 11 passes at seed 0 only for these values)
+    cfg = PrinConfig(bandwidth=B)
+    rng = np.random.default_rng(seed)
+    want = {}
+    for key, shape in pipeline_module._weight_shapes(cfg).items():
+        if key.startswith("svc"):
+            full = rng.standard_normal((sh.n_coeffs(B - 1),) + shape[1:]) * np.sqrt(2.0 / shape[-1])
+            want[key] = full[[sh.coeff_index(l, 0) for l in range(B)]]
+        elif len(shape) > 1:
+            want[key] = rng.standard_normal(shape) * np.sqrt(2.0 / shape[-1])
+        else:
+            want[key] = np.zeros(shape)
+    w = init_weights(cfg, seed)
+    assert list(w) == list(want)
+    for key in want:
+        assert w[key].shape == want[key].shape and np.array_equal(w[key], want[key]), key
 
 
 def test_init_weights_variance_matches_fan_in():
@@ -128,7 +152,7 @@ def test_prin_config_rejects_bad_widths(kwargs):
 def test_prin_config_channels_give_the_svc_shapes():
     cfg = PrinConfig(bandwidth=4, channels=(3, 5))
     w = init_weights(cfg, 0)
-    assert [w[k].shape for k in w if k.startswith("svc")] == [(16, 3, 1), (16, 5, 3)]
+    assert [w[k].shape for k in w if k.startswith("svc")] == [(4, 3, 1), (4, 5, 3)]
     assert w["pp_w0"].shape == (50, 5) and w["gl_w0"].shape == (50, 5)
 
 
@@ -319,13 +343,21 @@ def _radially_constant(s2):
     return SphericalGrid(s2.bandwidth, np.repeat(s2.data[:, :, None, :], n, axis=2))
 
 
+def _full_filter(B, zonal):
+    """The SphericalFilter with the rows ``zonal`` at the (l, 0) coefficients
+    and zeros in every non-zonal row, which integrate out."""
+    coeffs = np.zeros((sh.n_coeffs(B - 1),) + zonal.shape[1:])
+    coeffs[[sh.coeff_index(l, 0) for l in range(B)]] = zonal
+    return SphericalFilter(B, coeffs=coeffs)
+
+
 def _ball_prin_forward(points, weights, cfg):
     """The dense path composed on the (2B)^3 ball: every activation is a
     radially constant grid and per-point features are read trilinearly."""
     grid = voxelize(points, cfg.bandwidth, SamplingConfig(cfg.xi, cfg.mode))
     n_layers = len(cfg.channels)
     for li in range(n_layers):
-        psi = SphericalFilter(cfg.bandwidth, coeffs=weights[f"svc{li}"])
+        psi = _full_filter(cfg.bandwidth, weights[f"svc{li}"])
         grid = _radially_constant(svc_spectral(grid, psi))
         if li != n_layers - 1:
             np.maximum(grid.data, 0.0, out=grid.data)
@@ -665,6 +697,16 @@ def test_train_head_divergence_raises():
     y = rng.integers(0, 2, 40)
     with pytest.raises(NumericError, match="learning rate"):
         train_head(X, y, hidden=(8,), epochs=50, lr=1e200, seed=0)
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf], ids=["nan", "inf"])
+def test_train_head_divergence_at_the_last_epoch_raises(lr):
+    # the only update makes the parameters non-finite; nothing runs after it
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 4))
+    y = rng.integers(0, 2, 40)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="epoch 0"):
+        train_head(X, y, epochs=1, lr=lr, seed=0)
 
 
 def test_head_predict_shapes():

@@ -32,6 +32,11 @@ def random_filter(B, seed, c_out=1, c_in=1):
     return SphericalFilter(B, coeffs=rng.standard_normal((sh.n_coeffs(B - 1), c_out, c_in)))
 
 
+def zonal_rows(psi):
+    """The filter's zonal coefficients psi_l0, (L+1, C_out, C_in)."""
+    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(psi.degree + 1)]]
+
+
 def constant_filter(B, value):
     coeffs = np.zeros((sh.n_coeffs(B - 1), 1, 1))
     coeffs[0, 0, 0] = value * np.sqrt(4 * np.pi)
@@ -219,7 +224,7 @@ def test_svc_spectral_is_sphere_kernel_of_gamma_average():
     B = 4
     f = band_limited_grid(B, 10, channels=3)
     psi = random_filter(B, 10, c_out=2, c_in=3)
-    kernel = svc_sphere(gamma_average(f), psi)
+    kernel = svc_sphere(gamma_average(f), zonal_rows(psi))
     assert kernel.data.shape == (2 * B, 2 * B, 2)
     assert np.array_equal(svc_spectral(f, psi).data, kernel.data)
 
@@ -231,7 +236,7 @@ def test_svc_sphere_rejects_non_finite_output():
     coeffs[0, 0, 0] = np.inf
     g = S2Signal(B, np.ones((2 * B, 2 * B, 1)))
     with pytest.raises(ValueError, match="non-finite"):
-        svc_sphere(g, SphericalFilter(B, coeffs=coeffs))
+        svc_sphere(g, zonal_rows(SphericalFilter(B, coeffs=coeffs)))
 
 
 def test_svc_bandwidth_and_channel_mismatch():
@@ -242,9 +247,44 @@ def test_svc_bandwidth_and_channel_mismatch():
         svc_spectral(f, random_filter(4, 0, c_in=2))
     g = S2Signal(4, np.zeros((8, 8, 1)))
     with pytest.raises(ValueError, match="bandwidth"):
-        svc_sphere(g, random_filter(8, 0))
+        svc_sphere(g, zonal_rows(random_filter(8, 0)))
     with pytest.raises(ValueError, match="channel"):
-        svc_sphere(g, random_filter(4, 0, c_in=2))
+        svc_sphere(g, zonal_rows(random_filter(4, 0, c_in=2)))
+
+
+@pytest.mark.parametrize("L", [0, 2, 7])
+def test_svc_spectral_reads_only_the_zonal_rows(L):
+    # bitwise: the ball-grid API is svc_sphere on the filter's zonal rows, at
+    # any filter degree, and zeroing every other row changes nothing
+    B = 8
+    f = band_limited_grid(B, 12, channels=2)
+    coeffs = np.random.default_rng(L).standard_normal((sh.n_coeffs(L), 3, 2))
+    psi = SphericalFilter(B, coeffs=coeffs)
+    zonal = zonal_rows(psi)
+    assert zonal.shape == (L + 1, 3, 2)
+    out = svc_spectral(f, psi).data
+    assert np.array_equal(out, svc_sphere(gamma_average(f), zonal).data)
+    only_zonal = np.zeros_like(coeffs)
+    only_zonal[[sh.coeff_index(l, 0) for l in range(L + 1)]] = zonal
+    assert np.array_equal(out, svc_spectral(f, SphericalFilter(B, coeffs=only_zonal)).data)
+
+
+@pytest.mark.parametrize(
+    "shape,match",
+    [
+        ((4, 1), "zonal rows"),
+        ((4, 1, 1, 1), "zonal rows"),
+        ((0, 1, 1), "zonal rows"),
+        ((5, 1, 1), "bandwidth 4"),
+        ((16, 1, 1), "bandwidth 4"),
+        ((4, 1, 2), "channel"),
+    ],
+    ids=["rank-2", "rank-4", "no-rows", "degree-B", "full-sh-rows", "c-in"],
+)
+def test_svc_sphere_rejects_malformed_zonal_rows(shape, match):
+    g = S2Signal(4, np.ones((8, 8, 1)))
+    with pytest.raises(ValueError, match=match):
+        svc_sphere(g, np.ones(shape))
 
 
 def test_nonzonal_filter_components_do_not_contribute():
