@@ -5,7 +5,7 @@ signals, and the resampler):
 
 * ``alpha_i = pi * i / B``            for i in [0, 2B)
 * ``beta_j  = pi * (2j + 1) / (4B)``  for j in [0, 2B)   (offset, pole-free)
-* ``gamma_k = 2*pi * k / (2B)``       for k in [0, 2B)
+* ``gamma_k = 2*pi * k / (2B)``       for k in [0, 2B)   (the alpha nodes)
 * ``h_k     = k / (2B)``              for k in [0, 2B)
 
 The beta weights returned by :func:`beta_weights` integrate ``f(beta) *
@@ -35,10 +35,6 @@ def alpha_nodes(B: int) -> np.ndarray:
 
 def beta_nodes(B: int) -> np.ndarray:
     return np.pi * (2 * np.arange(2 * B) + 1) / (4 * B)
-
-
-def gamma_nodes(B: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(2 * B) / (2 * B)
 
 
 def h_nodes(B: int) -> np.ndarray:

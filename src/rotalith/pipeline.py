@@ -28,22 +28,21 @@ from .voxelize import SamplingConfig, _cloud_array, normalize_cloud
 from .voxelize import _voxelize_spherical as voxelize
 
 
+PRIN_CHANNELS = (40, 40, 50)  # each dense correlation's output width
+PRIN_FC_WIDTHS = (50, 50)  # each layer of the dense per-point and global heads
+
+
 @dataclass(frozen=True)
 class PrinConfig:
-    """Dense-path hyperparameters; desk-scale defaults (bandwidth 8)."""
+    """Dense-path bandwidth and sampling (xi, mode); desk-scale defaults (bandwidth 8)."""
 
     bandwidth: int = 8
     xi: float = 1.0 / 32.0
     mode: str = "daas"
-    channels: tuple[int, ...] = (40, 40, 50)  # each correlation's output width
-    fc_widths: tuple[int, ...] = (50, 50)
 
     def __post_init__(self):
         if self.bandwidth < 2:
             raise ValueError(f"bandwidth must be >= 2, got {self.bandwidth}")
-        for name, widths in (("channels", self.channels), ("fc_widths", self.fc_widths)):
-            if not widths or min(widths) < 1:
-                raise ValueError(f"{name} must hold at least one width, each >= 1, got {widths}")
         SamplingConfig(self.xi, self.mode)  # the voxelizer's check of xi and mode
 
 
@@ -138,7 +137,7 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
     """Every weight key the config's forward pass reads, with its shape, in
     the order :func:`init_weights` draws them.  An MLP under ``prefix`` holds
     ``prefix_w{j}`` ``(out, in)`` and ``prefix_b{j}`` ``(out,)``; ``svc{i}``
-    holds the zonal rows ``psi_l0`` of a correlation, ``(B, C_out, C_in)``."""
+    holds the zonal rows ``psi_l0`` of a :data:`PRIN_CHANNELS` layer, ``(B, C_out, C_in)``."""
     shapes: dict[str, tuple[int, ...]] = {}
 
     def mlp(prefix: str, widths: tuple[int, ...]) -> None:
@@ -147,11 +146,11 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
             shapes[f"{prefix}_b{j}"] = (w_out,)
 
     if isinstance(cfg, PrinConfig):
-        chans = (1,) + cfg.channels
+        chans = (1,) + PRIN_CHANNELS
         for li, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
             shapes[f"svc{li}"] = (cfg.bandwidth, c_out, c_in)
-        mlp("pp", (chans[-1],) + cfg.fc_widths)
-        mlp("gl", (chans[-1],) + cfg.fc_widths)
+        mlp("pp", (chans[-1],) + PRIN_FC_WIDTHS)
+        mlp("gl", (chans[-1],) + PRIN_FC_WIDTHS)
     elif isinstance(cfg, SprinConfig):
         _, enc, dec = _sparse_plan(cfg)
         width = 8  # the first filter reads the invariants alone
@@ -245,7 +244,7 @@ def prin_forward(
     rows is then read by bilinear interpolation and fed to the rest of the
     head.
 
-    Returns ``(per_point (N, fc_widths[-1]), global (fc_widths[-1],))``.
+    Returns ``(per_point (N, PRIN_FC_WIDTHS[-1]), global (PRIN_FC_WIDTHS[-1],))``.
     The cloud must already be normalized into the unit ball.  ``weights``
     must hold exactly the keys and shapes :func:`init_weights` gives
     ``cfg``, all finite; anything else raises a ValueError naming the key
@@ -258,18 +257,18 @@ def prin_forward(
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
     act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
-    for li in range(len(cfg.channels)):
+    for li in range(len(PRIN_CHANNELS)):
         act = svc_sphere(act, w[f"svc{li}"])
-        if li != len(cfg.channels) - 1:
+        if li != len(PRIN_CHANNELS) - 1:
             np.maximum(act.data, 0.0, out=act.data)
     (W0, b0), *rest = pp
-    first = act.data.reshape(-1, cfg.channels[-1]) @ W0.T
+    first = act.data.reshape(-1, PRIN_CHANNELS[-1]) @ W0.T
     first += b0
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
     # the chunk budget at the widest row any head layer holds
-    per_point = np.empty((points.shape[0], cfg.fc_widths[-1]))
-    for chunk in chunks._point_chunks(points.shape[0], 8 * max(cfg.fc_widths)):
+    per_point = np.empty((points.shape[0], PRIN_FC_WIDTHS[-1]))
+    for chunk in chunks._point_chunks(points.shape[0], 8 * max(PRIN_FC_WIDTHS)):
         h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
         np.maximum(h, 0.0, out=h)
         per_point[chunk] = _head_apply(rest, h)
@@ -567,7 +566,7 @@ def train_head(
     epochs: int = 200,
     lr: float = 0.5,
     seed: int = 0,
-) -> tuple[TrainedHead, list[float]]:
+) -> TrainedHead:
     """Fit a softmax head by full-batch gradient descent; deterministic per seed.
 
     Features are standardized column-wise before training.  Raises
@@ -585,7 +584,6 @@ def train_head(
         (rng.standard_normal((o, i)) * np.sqrt(2.0 / i), np.zeros(o))
         for i, o in zip(widths[:-1], widths[1:])
     ]
-    curve: list[float] = []
     for epoch in range(epochs):
         loss, grads = head_loss_and_grad(params, X, labels)
         params = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(params, grads)]
@@ -593,9 +591,7 @@ def train_head(
             raise NumericError(
                 f"head training diverged at epoch {epoch} (loss={loss}); lower the learning rate"
             )
-        pred = np.argmax(_head_forward(params, X)[-1], axis=1)
-        curve.append(float(np.mean(pred == labels)))
-    return TrainedHead(params, mu, sd), curve
+    return TrainedHead(params, mu, sd)
 
 
 def head_predict(head: TrainedHead, feats: np.ndarray) -> np.ndarray:
@@ -633,6 +629,10 @@ def equivariance_trial(
     (``xi=0.1``), so the haar numbers include the sampling error of the
     voxelizer.
     """
+    if bandwidth < 1:
+        raise InputFormatError(f"bandwidth (--bandwidth) must be >= 1, got {bandwidth}")
+    if n_points is not None and n_points < 1:
+        raise InputFormatError(f"n_points (--points) must be >= 1, got {n_points}")
     rng = np.random.default_rng(seed)
     if rotation == "grid-z":
         m = int(rng.integers(1, 2 * bandwidth))
@@ -711,7 +711,7 @@ def toy_protocol(
     )
     test_labels = np.array([clouds[i].class_id for i in test_idx])
 
-    head, _ = train_head(train_feats, train_labels, hidden=(32,), epochs=epochs, lr=lr, seed=seed)
+    head = train_head(train_feats, train_labels, hidden=(32,), epochs=epochs, lr=lr, seed=seed)
     nr = float(np.mean(head_predict(head, test_feats) == test_labels))
     ar = float(np.mean(head_predict(head, test_feats_rot) == test_labels))
     return {"nr_accuracy": nr, "ar_accuracy": ar, "gap": nr - ar}

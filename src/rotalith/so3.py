@@ -113,8 +113,8 @@ def _euler_grid_rotations(B: int) -> np.ndarray:
     """All (2B)^3 grid rotations, shape (2B, 2B, 2B, 3, 3)."""
     ai = sh.alpha_nodes(B)
     bj = sh.beta_nodes(B)
-    gk = sh.gamma_nodes(B)
-    A, Bb, G = np.meshgrid(ai, bj, gk, indexing="ij")
+    # gamma is sampled on the alpha nodes, 2 pi k / (2B)
+    A, Bb, G = np.meshgrid(ai, bj, ai, indexing="ij")
     R = euler_to_matrix(A, Bb, G)
     R.setflags(write=False)
     return R

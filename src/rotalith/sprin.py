@@ -22,8 +22,6 @@ import numpy as np
 
 from . import chunks
 
-INVARIANT_FIELDS = ("beta_rel", "h_rel", "s1", "s2", "s3", "a1", "a2", "a3")
-
 # below this side length a triangle angle is undefined; see relative_invariants
 _DEGENERATE_SIDE = 1e-12
 
@@ -84,8 +82,8 @@ def relative_invariants(x_i: np.ndarray, x_j: np.ndarray, c: np.ndarray) -> np.n
     """The 8 rotation-invariant scalars for neighbor/center/centroid triples.
 
     Broadcasts over leading axes; returns shape ``(..., 8)`` with columns in
-    ``INVARIANT_FIELDS`` order.  When a triangle side vanishes the angles are
-    set to ``(0, pi/2, pi/2)`` so the map is total.
+    the module docstring's order.  When a triangle side vanishes the angles
+    are set to ``(0, pi/2, pi/2)`` so the map is total.
     """
     x_i, x_j, c = (np.asarray(a, dtype=float) for a in (x_i, x_j, c))
     ndim = max(x_i.ndim, x_j.ndim, c.ndim)

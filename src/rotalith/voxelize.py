@@ -75,8 +75,11 @@ def _cloud_array(points: np.ndarray) -> np.ndarray:
 def normalize_cloud(points: np.ndarray) -> np.ndarray:
     """Center a cloud on its centroid and scale it into the unit ball."""
     points = _cloud_array(points)
-    centered = points - points.mean(axis=0)
-    scale = np.linalg.norm(centered, axis=1).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = points - points.mean(axis=0)
+        scale = np.linalg.norm(centered, axis=1).max()
+    if not np.isfinite(scale):  # huge coordinates overflowed the centroid or the norm
+        raise InputFormatError("cloud coordinates are too large to normalize")
     if scale == 0.0:
         raise InputFormatError("cloud is degenerate: all points coincide")
     return centered / scale

@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,28 @@ def test_non_finite_cloud_exits_2(nan_cloud_file, tmp_path, capsys, argv):
     assert ":6: non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("features", "--pipeline", "prin", "--bandwidth", "4", "--out", "f.rtlh"),
+        ("voxelize", "--bandwidth", "4", "--out", "g.rtlh"),
+    ],
+    ids=["features-prin", "voxelize"],
+)
+def test_cloud_too_large_to_normalize_exits_2(tmp_path, capsys, argv):
+    # finite, but 1e308 squared overflows the norm: normalized, every point
+    # would land on the origin
+    path = tmp_path / "huge.xyz"
+    path.write_text("1e308 1e308 1e308\n0 0 0\n")
+    argv = [str(tmp_path / a) if a.endswith(".rtlh") else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the run
+        code, stdout, err = run_cli(capsys, *argv, "--in", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert err == "rotalith: cloud coordinates are too large to normalize\n"
+
+
 def test_match_huge_declared_archive_exits_2(tmp_path, capsys):
     path = tmp_path / "huge.rtlh"  # 34 bytes declaring one 2^20 x 2^20 float32 tensor
     path.write_bytes(b"RTLH" + struct.pack("<IIIc", 1, 1, 1, b"a") + struct.pack("<B2Q", 2, 1 << 20, 1 << 20))
@@ -151,6 +174,8 @@ def test_equiv_check_sprin_rows(capsys):
         ("--pipeline", "prin", "--trials", "1", "--bandwidth", "1"),
         ("--pipeline", "sprin", "--trials", "1", "--points", "3"),
         ("--pipeline", "sprin", "--trials", "0"),
+        ("--pipeline", "sprin", "--trials", "1", "--bandwidth", "0"),
+        ("--pipeline", "sprin", "--trials", "1", "--points", "-3"),
     ],
 )
 def test_equiv_check_invalid_input_exits_2_without_output(capsys, argv):
@@ -158,6 +183,9 @@ def test_equiv_check_invalid_input_exits_2_without_output(capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err.startswith("rotalith: ")
+    for flag in ("--bandwidth", "--points"):
+        if flag in argv and int(argv[argv.index(flag) + 1]) < 1:
+            assert flag in err  # a size below 1 is named, not left to numpy
 
 
 def test_features_and_match_self(cloud_file, tmp_path, capsys):

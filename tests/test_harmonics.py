@@ -45,7 +45,7 @@ def test_grid_conventions():
     assert sh.alpha_nodes(B)[1] == np.pi / B
     assert sh.beta_nodes(B)[0] == np.pi / (4 * B)
     assert sh.h_nodes(B)[1] == 1 / (2 * B)
-    assert sh.gamma_nodes(B)[1] == 2 * np.pi / (2 * B)
+    assert sh.alpha_nodes(B)[1] == 2 * np.pi / (2 * B)  # gamma_k reuses the alpha nodes
     assert sh.coeff_index(2, -1) == 5
 
 

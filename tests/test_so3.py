@@ -209,8 +209,8 @@ def test_svc_output_radially_constant():
     psi = random_filter(B, 9)
     out = svc_bruteforce(f, psi)
     assert out.data.shape == (n, n, 1)
-    ai, bj, gk = sh.alpha_nodes(B), sh.beta_nodes(B), sh.gamma_nodes(B)
-    Rs = euler_to_matrix(*np.meshgrid(ai, bj, gk, indexing="ij")).reshape(-1, 3, 3)
+    ai, bj = sh.alpha_nodes(B), sh.beta_nodes(B)
+    Rs = euler_to_matrix(*np.meshgrid(ai, bj, ai, indexing="ij")).reshape(-1, 3, 3)
     w = np.broadcast_to(sh.beta_weights(B)[None, :, None] / (2.0 * n * n), (n, n, n)).reshape(-1)
     gbar = np.repeat(gamma_average(f).data[:, :, 0], n).reshape(-1)
     for i, j in ((0, 0), (3, 5), (7, 2)):

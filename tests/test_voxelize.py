@@ -1,6 +1,7 @@
 """Voxelizer unit behavior: window membership, shift equivariance, invariances."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,6 +122,13 @@ def test_normalize_cloud():
         pts[6, 0] = bad
         with pytest.raises(InputFormatError, match="non-finite"):
             normalize_cloud(pts)
+    # finite, but the norm overflows to inf (every point would map to the
+    # origin) or the centroid sum does (every x would be NaN)
+    for huge in ([[1e308] * 3, [0.0] * 3], [[1e308, 0, 0], [1.5e308, 0, 0], [0.0] * 3]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputFormatError, match="too large to normalize"):
+                normalize_cloud(np.array(huge))
 
 
 def test_alpha_window_wraps_at_seam():
