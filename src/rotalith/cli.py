@@ -1,6 +1,7 @@
 """Operator-facing command surface: deterministic, CSV-emitting subcommands.
 
-Exit codes: 0 success, 1 usage error, 2 input/format error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 input/format error (also an input
+that needs more memory than numpy can allocate), 3 numeric failure.
 Identical command and seed produce byte-identical standard output (bench
 reports wall times and is the one exception).
 """
@@ -28,7 +29,7 @@ from .pipeline import (
 )
 from .so3 import SphericalFilter, svc_bruteforce, svc_spectral
 from .sprin import dilated_knn, farthest_point_sampling
-from .voxelize import SamplingConfig, SphericalGrid, normalize_cloud, voxelize
+from .voxelize import SamplingConfig, SphericalGrid, _cloud_array, normalize_cloud, voxelize
 from . import harmonics as sh
 
 EXIT_OK = 0
@@ -45,15 +46,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_cloud(path, normalize: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    points, labels = read_cloud(path)
-    if normalize:
-        points = normalize_cloud(points)
-    return points, labels
+def _load_cloud(path, normalize: bool) -> np.ndarray:
+    points, _ = read_cloud(path)
+    return normalize_cloud(points) if normalize else _cloud_array(points)
 
 
 def _cmd_voxelize(args) -> int:
-    points, _ = _load_cloud(args.infile, not args.no_normalize)
+    points = _load_cloud(args.infile, not args.no_normalize)
     cfg = SamplingConfig(xi=args.xi, mode=args.mode)
     grid = voxelize(points, args.bandwidth, cfg)
     write_archive(args.out, {"grid": grid.data})
@@ -96,7 +95,7 @@ def _build_config(args):
 
 
 def _cmd_features(args) -> int:
-    points, _ = _load_cloud(args.infile, not args.no_normalize)
+    points = _load_cloud(args.infile, not args.no_normalize)
     cfg = _build_config(args)
     if args.weights:
         weights = read_archive(args.weights)
@@ -191,7 +190,7 @@ def _cmd_toy(args) -> int:
 
 
 def _cmd_fps(args) -> int:
-    points, _ = _load_cloud(args.infile, False)
+    points = _load_cloud(args.infile, False)
     idx = farthest_point_sampling(points, args.m, args.start)
     for i in idx:
         print(int(i))
@@ -199,7 +198,7 @@ def _cmd_fps(args) -> int:
 
 
 def _cmd_knn(args) -> int:
-    points, _ = _load_cloud(args.infile, False)
+    points = _load_cloud(args.infile, False)
     idx = dilated_knn(points, args.center, args.k, args.d)
     for i in idx:
         print(int(i))
@@ -295,6 +294,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (InputFormatError, ValueError, OSError) as exc:
         print(f"rotalith: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"rotalith: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -133,70 +133,67 @@ def grid_dirs(B: int) -> np.ndarray:
     return np.stack([sb * np.cos(A), sb * np.sin(A), np.cos(Bb)], axis=-1).reshape(-1, 3)
 
 
-def _flat_layout(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Order ``|m|``, degree ``l`` and part (0 cos, 1 sin) of each flat coefficient."""
-    l = np.repeat(np.arange(L + 1), 2 * np.arange(L + 1) + 1)
-    m = np.arange(n_coeffs(L)) - l * l - l
+def _flat_layout(B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Order ``|m|``, degree ``l`` and part (0 cos, 1 sin) of each of the B^2 flat coefficients."""
+    l = np.repeat(np.arange(B), 2 * np.arange(B) + 1)
+    m = np.arange(B * B) - l * l - l
     return np.abs(m), l, (m < 0).astype(np.intp)
 
 
 @lru_cache(maxsize=None)
-def _legendre_table(B: int, L: int) -> np.ndarray:
+def _legendre_table(B: int) -> np.ndarray:
     """``(m, l, beta)`` table of ``Y_{l,m}`` at the beta nodes and alpha = 0.
 
-    That is ``P~_l^0`` for m = 0 and ``sqrt(2) * P~_l^m`` for m > 0; entries
-    with l < m are zero.  Shape ``(L+1, L+1, 2B)``.
+    That is ``P~_l^0`` for m = 0 and ``sqrt(2) * P~_l^m`` for m > 0, for
+    every degree l < B; entries with l < m are zero.  Shape ``(B, B, 2B)``.
     """
     beta = beta_nodes(B)
-    block = _sh_block(L, np.stack([np.sin(beta), np.zeros_like(beta), np.cos(beta)], axis=1))
-    m, l, part = _flat_layout(L)
-    table = np.zeros((L + 1, L + 1, 2 * B))
+    block = _sh_block(B - 1, np.stack([np.sin(beta), np.zeros_like(beta), np.cos(beta)], axis=1))
+    m, l, part = _flat_layout(B)
+    table = np.zeros((B, B, 2 * B))
     table[m[part == 0], l[part == 0]] = block[part == 0]
     table.setflags(write=False)
     return table
 
 
-def sh_analysis(values: np.ndarray, B: int, L: int) -> np.ndarray:
-    """Grid values ``(2B, 2B, ...)`` to coefficients ``((L+1)^2, ...)``.
+def sh_analysis(values: np.ndarray, B: int) -> np.ndarray:
+    """Grid values ``(2B, 2B, ...)`` to the ``(B^2, ...)`` coefficients of degrees l < B.
 
-    Exact for signals band-limited to degree <= min(L, B-1).  Separable: an
-    FFT over alpha, then per order m the Legendre table over beta.  The cos
-    (+m) coefficients come from ``Re F_m`` and the sin (-m) ones from
-    ``-Im F_m``.
+    Exact for signals band-limited to degree < B.  Separable: an FFT over
+    alpha, then per order m the Legendre table over beta.  The cos (+m)
+    coefficients come from ``Re F_m`` and the sin (-m) ones from ``-Im F_m``.
     """
-    if L >= B:
-        raise ValueError(f"degree cutoff L={L} must be < bandwidth B={B}")
     v = np.asarray(values, dtype=float)
     n, lead = 2 * B, v.shape[2:]
-    spec = np.fft.rfft(v.reshape(n, n, -1), axis=0)[: L + 1]  # (m, beta, K) complex
+    if v.shape[:2] != (n, n):
+        raise ValueError(f"grid values {v.shape} are not (2B, 2B, ...) for bandwidth B={B}")
+    spec = np.fft.rfft(v.reshape(n, n, -1), axis=0)[:B]  # (m, beta, K) complex
     pairs = np.ascontiguousarray(spec).view(float)  # (m, beta, 2K): (Re, Im) per channel
-    out = (_legendre_table(B, L) * (beta_weights(B) * (np.pi / B))) @ pairs  # (m, l, 2K)
-    m, l, part = _flat_layout(L)
+    out = (_legendre_table(B) * (beta_weights(B) * (np.pi / B))) @ pairs  # (m, l, 2K)
+    m, l, part = _flat_layout(B)
     sign = 1.0 - 2.0 * part  # -Im F_m for the sin part
-    coeffs = out.reshape(L + 1, L + 1, -1, 2)[m, l, :, part] * sign[:, None]
-    return coeffs.reshape((n_coeffs(L),) + lead)
+    coeffs = out.reshape(B, B, -1, 2)[m, l, :, part] * sign[:, None]
+    return coeffs.reshape((B * B,) + lead)
 
 
 def sh_synthesis(coeffs: np.ndarray, B: int) -> np.ndarray:
-    """Coefficients ``((L+1)^2, ...)`` to grid values ``(2B, 2B, ...)``.
+    """The ``(B^2, ...)`` coefficients of degrees l < B to grid values ``(2B, 2B, ...)``.
 
     Separable: per order m the Legendre table over l, then an inverse FFT
-    over alpha.  ``L <= B - 1``, so the Nyquist order stays zero.
+    over alpha.  Degrees stop at B - 1, so the Nyquist order stays zero.
     """
     c = np.asarray(coeffs, dtype=float)
-    L = _degree(c)
-    if L >= B:
-        raise ValueError(f"degree cutoff L={L} must be < bandwidth B={B}")
+    if c.shape[:1] != (B * B,):
+        raise ValueError(f"coefficients {c.shape} do not have the {B * B} rows of bandwidth B={B}")
     n, lead = 2 * B, c.shape[1:]
-    flat = c.reshape(c.shape[0], -1)
-    m, l, part = _flat_layout(L)
+    flat = c.reshape(B * B, -1)
+    m, l, part = _flat_layout(B)
     # irfft divides by 2B and adds each order m > 0 twice, so its input row m
     # is B (a_m - i b_m) and row 0 is 2B a_0, with a, b the cos and sin sums
     scale = np.where(part == 1, -B, np.where(m == 0, 2 * B, B))
-    pairs = np.zeros((L + 1, L + 1, flat.shape[1], 2))  # (m, l, K, (re, im))
+    pairs = np.zeros((B, B, flat.shape[1], 2))  # (m, l, K, (re, im))
     pairs[m, l, :, part] = flat * scale[:, None]
     spec = np.zeros((B + 1, n, 2 * flat.shape[1]))  # orders up to Nyquist, so irfft need not pad
-    np.matmul(_legendre_table(B, L).transpose(0, 2, 1), pairs.reshape(L + 1, L + 1, -1),
-              out=spec[: L + 1])
+    np.matmul(_legendre_table(B).transpose(0, 2, 1), pairs.reshape(B, B, -1), out=spec[:B])
     values = np.fft.irfft(spec.view(complex), n=n, axis=0)  # (alpha, beta, K)
     return values.reshape((n, n) + lead)

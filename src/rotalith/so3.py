@@ -65,25 +65,19 @@ class S2Signal:
 class SphericalFilter:
     """A gamma-constant rotation-group filter, stored as a function on S^2.
 
-    ``coeffs`` has shape ``[(L+1)^2, C_out, C_in]`` with 0 <= L < B.
+    ``coeffs`` has shape ``[B^2, C_out, C_in]``: every degree l < B.
     """
 
     bandwidth: int
     coeffs: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        B = self.bandwidth
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 3 or self.coeffs.shape[0] == 0:
+        if B < 1 or self.coeffs.ndim != 3 or len(self.coeffs) != B * B:
             raise ValueError(
-                f"filter coeffs must be (n_coeff >= 1, C_out, C_in), got shape {self.coeffs.shape}"
+                f"filter coeffs must be (B^2, C_out, C_in) for B={B}, got shape {self.coeffs.shape}"
             )
-        L = sh._degree(self.coeffs)
-        if L >= self.bandwidth:
-            raise ValueError(f"filter degree L={L} must be < bandwidth B={self.bandwidth}")
-
-    @property
-    def degree(self) -> int:
-        return sh._degree(self.coeffs)
 
 
 def gamma_average(grid: SphericalGrid) -> S2Signal:
@@ -185,19 +179,19 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
 
 
 def _zonal_rows(psi: SphericalFilter, B: int) -> np.ndarray:
-    """The filter's zonal coefficients ``psi_l0``, shape ``(L+1, C_out, C_in)``."""
+    """The filter's zonal coefficients ``psi_l0``, shape ``(B, C_out, C_in)``."""
     if psi.bandwidth != B:
         raise ValueError(f"bandwidth mismatch: signal B={B}, filter B={psi.bandwidth}")
-    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(psi.degree + 1)]]
+    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(B)]]
 
 
 def _svc_output_coeffs(g: S2Signal, zonal: np.ndarray) -> np.ndarray:
     B = g.bandwidth
-    if zonal.ndim != 3 or not 1 <= len(zonal) <= B:
-        raise ValueError(f"zonal rows {zonal.shape} are not (L+1, C_out, C_in), L < bandwidth {B}")
+    if zonal.ndim != 3 or len(zonal) != B:
+        raise ValueError(f"zonal rows {zonal.shape} are not (B, C_out, C_in) for bandwidth {B}")
     if zonal.shape[2] != g.channels:
         raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={zonal.shape[2]}")
-    g_hat = sh.sh_analysis(g.data, B, zonal.shape[0] - 1)  # (ncoeff, C_in)
+    g_hat = sh.sh_analysis(g.data, B)  # (B^2, C_in)
     out = np.empty((g_hat.shape[0], zonal.shape[1]))
     # out_lm[c_out] = sum_cin g_lm[cin] * psi_l0[c_out, cin] / sqrt(4 pi (2l + 1))
     for l, psi_l0 in enumerate(zonal):
@@ -210,8 +204,8 @@ def svc_sphere(g: S2Signal, zonal: np.ndarray) -> S2Signal:
     """Voxel correlation of a gamma-averaged signal, kept on the sphere.
 
     ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input, ``zonal``
-    the filter's zonal rows ``psi_l0``, ``(L+1, C_out, C_in)`` with L < B
-    (non-zonal components integrate out); the result is ``(2B, 2B, C_out)``.
+    the filter's zonal rows ``psi_l0``, ``(B, C_out, C_in)`` (non-zonal
+    components integrate out); the result is ``(2B, 2B, C_out)``.
     """
     return S2Signal(g.bandwidth, sh.sh_synthesis(_svc_output_coeffs(g, zonal), g.bandwidth))
 
@@ -235,7 +229,7 @@ def rotate_grid(f: SphericalGrid, Q: np.ndarray) -> SphericalGrid:
     B = f.bandwidth
     n = 2 * B
     shells = f.data.reshape(n, n, -1)  # radial bins and channels flattened
-    coeffs = sh.sh_analysis(shells, B, B - 1)
+    coeffs = sh.sh_analysis(shells, B)
     back = sh.grid_dirs(B) @ np.asarray(Q, dtype=float)  # rows are Q^-1 @ dir
     vals = sh.sh_eval(coeffs, back)
     return SphericalGrid(B, vals.reshape(f.data.shape))

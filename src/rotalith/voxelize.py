@@ -62,24 +62,30 @@ class SphericalGrid:
         return self.data.shape[3]
 
 
+# below this |coordinate| every squared distance, norm and dot product of
+# two points is finite: 12 * _MAX_COORD**2 < np.finfo(float).max
+_MAX_COORD = np.sqrt(np.finfo(float).max) / 4.0
+
+
 def _cloud_array(points: np.ndarray) -> np.ndarray:
-    """``points`` as a float array, checked to be a non-empty, finite ``(N, 3)`` cloud."""
+    """``points`` as a float array, checked to be a non-empty ``(N, 3)`` cloud
+    whose coordinates are finite and at most ``_MAX_COORD`` in magnitude."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
         raise InputFormatError(f"expected a non-empty (N, 3) cloud, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise InputFormatError("cloud has non-finite coordinates")
+    peak = max(points.max(), -points.min())  # NaN propagates through both
+    if not peak <= _MAX_COORD:
+        if not np.isfinite(peak):
+            raise InputFormatError("cloud has non-finite coordinates")
+        raise InputFormatError("cloud coordinates are too large to normalize")
     return points
 
 
 def normalize_cloud(points: np.ndarray) -> np.ndarray:
     """Center a cloud on its centroid and scale it into the unit ball."""
     points = _cloud_array(points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centered = points - points.mean(axis=0)
-        scale = np.linalg.norm(centered, axis=1).max()
-    if not np.isfinite(scale):  # huge coordinates overflowed the centroid or the norm
-        raise InputFormatError("cloud coordinates are too large to normalize")
+    centered = points - points.mean(axis=0)
+    scale = np.linalg.norm(centered, axis=1).max()
     if scale == 0.0:
         raise InputFormatError("cloud is degenerate: all points coincide")
     return centered / scale

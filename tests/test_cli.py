@@ -85,12 +85,17 @@ def test_non_finite_cloud_exits_2(nan_cloud_file, tmp_path, capsys, argv):
     [
         ("features", "--pipeline", "prin", "--bandwidth", "4", "--out", "f.rtlh"),
         ("voxelize", "--bandwidth", "4", "--out", "g.rtlh"),
+        ("voxelize", "--no-normalize", "--bandwidth", "4", "--out", "g.rtlh"),
+        ("features", "--pipeline", "sprin", "--no-normalize", "--out", "f.rtlh"),
+        ("knn", "--k", "1", "--center", "0"),
+        ("fps", "--m", "2"),
     ],
-    ids=["features-prin", "voxelize"],
+    ids=["features-prin", "voxelize", "voxelize-no-normalize", "features-sprin-no-normalize",
+         "knn", "fps"],
 )
 def test_cloud_too_large_to_normalize_exits_2(tmp_path, capsys, argv):
     # finite, but 1e308 squared overflows the norm: normalized, every point
-    # would land on the origin
+    # would land on the origin; unnormalized, squared distances would be inf
     path = tmp_path / "huge.xyz"
     path.write_text("1e308 1e308 1e308\n0 0 0\n")
     argv = [str(tmp_path / a) if a.endswith(".rtlh") else a for a in argv]
@@ -100,6 +105,19 @@ def test_cloud_too_large_to_normalize_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert stdout == ""
     assert err == "rotalith: cloud coordinates are too large to normalize\n"
+
+
+def test_allocation_numpy_cannot_make_exits_2(cloud_file, tmp_path, capsys):
+    # B = 20000 asks for a (2B)^3 float64 grid, 466 TiB: more than any 47- or
+    # 48-bit user address space, so the allocation fails without touching memory
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run_cli(capsys, "voxelize", "--in", str(cloud_file),
+                                    "--bandwidth", "20000", "--out", str(tmp_path / "g.rtlh"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("rotalith: out of memory: ") and "TiB" in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_match_huge_declared_archive_exits_2(tmp_path, capsys):

@@ -72,19 +72,23 @@ _TRANSFORM_CASES = [(B, L) for B in (2, 3, 4, 8, 16, 32) for L in sorted({0, B /
 @pytest.mark.parametrize("B, L", _TRANSFORM_CASES)
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_transforms_match_dense_basis(B, L, lead):
-    # oracle: the basis matrix at the grid nodes, weighted by the quadrature
-    Y = _basis(L, sh.grid_dirs(B))
+    # oracle: the basis matrix at the grid nodes, weighted by the quadrature;
+    # the transforms hold every degree l < B, so a signal of degree L holds
+    # zeros in its rows past (L+1)^2, and its analysis gives them back
+    Y = _basis(B - 1, sh.grid_dirs(B))
     w = sh.grid_area_weights(B).reshape(-1, 1)
     rng = np.random.default_rng(100 * B + L)
     f = rng.standard_normal((2 * B, 2 * B) + lead)
-    c = rng.standard_normal((sh.n_coeffs(L),) + lead)
-    coeffs = sh.sh_analysis(f, B, L)
+    c = np.zeros((B * B,) + lead)
+    c[: sh.n_coeffs(L)] = rng.standard_normal((sh.n_coeffs(L),) + lead)
+    coeffs = sh.sh_analysis(f, B)
     values = sh.sh_synthesis(c, B)
     assert coeffs.shape == c.shape and values.shape == f.shape
     ref_coeffs = (Y.T @ (w * f.reshape(4 * B * B, -1))).reshape(c.shape)
     ref_values = (Y @ c.reshape(c.shape[0], -1)).reshape(f.shape)
     assert np.abs(coeffs - ref_coeffs).max() <= 1e-12 * np.abs(ref_coeffs).max()
     assert np.abs(values - ref_values).max() <= 1e-12 * np.abs(ref_values).max()
+    assert np.abs(sh.sh_analysis(values, B) - c).max() <= 1e-12 * np.abs(c).max()
 
 
 @pytest.mark.parametrize("B, shift", [(5, 1), (8, 3)])
@@ -93,7 +97,7 @@ def test_alpha_roll_commutes_with_band_limit_projection(B, shift):
     f = np.random.default_rng(B).standard_normal((2 * B, 2 * B, 2))
 
     def project(v):
-        return sh.sh_synthesis(sh.sh_analysis(v, B, B - 1), B)
+        return sh.sh_synthesis(sh.sh_analysis(v, B), B)
 
     rolled_first = project(np.roll(f, shift, axis=0))
     assert np.abs(rolled_first - np.roll(project(f), shift, axis=0)).max() < 1e-13
@@ -102,14 +106,14 @@ def test_alpha_roll_commutes_with_band_limit_projection(B, shift):
 def test_analysis_of_constant_and_zonal_degree_one():
     B = 6
     const = np.full((2 * B, 2 * B, 1), 3.5)
-    coeffs = sh.sh_analysis(const, B, B - 1)
+    coeffs = sh.sh_analysis(const, B)
     expected0 = 3.5 * np.sqrt(4 * np.pi)
     assert abs(coeffs[0, 0] - expected0) < 1e-12
     assert np.abs(coeffs[1:, 0]).max() < 1e-12
 
     bj = sh.beta_nodes(B)
     zonal = np.cos(bj)[None, :, None] * np.ones((2 * B, 1, 1))
-    coeffs = sh.sh_analysis(zonal, B, B - 1)
+    coeffs = sh.sh_analysis(zonal, B)
     nonzero = np.flatnonzero(np.abs(coeffs[:, 0]) > 1e-12)
     assert nonzero.tolist() == [sh.coeff_index(1, 0)]
 
@@ -119,18 +123,23 @@ def test_round_trip_band_limited(B):
     rng = np.random.default_rng(B)
     coeffs = rng.standard_normal((sh.n_coeffs(B - 1), 3))
     values = sh.sh_synthesis(coeffs, B)
-    back = sh.sh_analysis(values, B, B - 1)
+    back = sh.sh_analysis(values, B)
     assert np.abs(back - coeffs).max() < 1e-8
     again = sh.sh_synthesis(back, B)
     assert np.abs(again - values).max() < 1e-8
 
 
 def test_degree_overflow_errors():
-    B = 4
-    with pytest.raises(ValueError):
-        sh.sh_analysis(np.zeros((8, 8, 1)), B, B)
-    with pytest.raises(ValueError):
-        sh.sh_synthesis(np.zeros((sh.n_coeffs(4), 1)), B)
+    # the bandwidth alone fixes the grid and the B^2 coefficient rows; a
+    # (2, 8) grid at B = 2 was once analyzed as a reinterpreted (4, 4) grid
+    for grid, B in ((np.ones((2, 8, 1)), 2), (np.ones((8, 8, 1)), 2), (np.ones(8), 4)):
+        with pytest.raises(ValueError, match=r"not \(2B, 2B, \.\.\.\)"):
+            sh.sh_analysis(grid, B)
+    for rows in (0, 9, sh.n_coeffs(4)):
+        with pytest.raises(ValueError, match="rows of bandwidth B=4"):
+            sh.sh_synthesis(np.zeros((rows, 1)), 4)
+    with pytest.raises(ValueError, match="rows of bandwidth"):
+        sh.sh_synthesis(np.zeros(()), 4)
 
 
 def test_sh_basis_near_and_at_poles_against_scipy():

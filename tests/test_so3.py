@@ -33,8 +33,8 @@ def random_filter(B, seed, c_out=1, c_in=1):
 
 
 def zonal_rows(psi):
-    """The filter's zonal coefficients psi_l0, (L+1, C_out, C_in)."""
-    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(psi.degree + 1)]]
+    """The filter's zonal coefficients psi_l0, (B, C_out, C_in)."""
+    return psi.coeffs[[sh.coeff_index(l, 0) for l in range(psi.bandwidth)]]
 
 
 def constant_filter(B, value):
@@ -111,15 +111,14 @@ def test_filter_eval_degree_one_closed_form():
 
 
 def test_filter_rejects_malformed_coefficients():
-    with pytest.raises(ValueError, match="n_coeff >= 1"):
-        SphericalFilter(4, coeffs=np.zeros((0, 1, 1)))
-    with pytest.raises(ValueError, match="n_coeff"):
-        SphericalFilter(4, coeffs=np.zeros((4, 1)))
-    with pytest.raises(ValueError, match="perfect square"):
-        SphericalFilter(4, coeffs=np.zeros((5, 1, 1)))
-    with pytest.raises(ValueError, match="must be < bandwidth"):
-        SphericalFilter(4, coeffs=np.zeros((sh.n_coeffs(4), 1, 1)))
-    assert SphericalFilter(4, coeffs=np.zeros((1, 2, 3))).degree == 0
+    with pytest.raises(ValueError, match="C_out, C_in"):
+        SphericalFilter(4, coeffs=np.zeros((16, 1)))
+    # a filter holds every degree l < B: any row count but B^2 is rejected,
+    # whether it is not a square (5), a lower degree (1, 9) or degree B (25)
+    for B, rows in ((4, 0), (4, 1), (4, 5), (4, 9), (4, sh.n_coeffs(4)), (0, 0)):
+        with pytest.raises(ValueError, match=rf"\(B\^2, C_out, C_in\) for B={B}"):
+            SphericalFilter(B, coeffs=np.zeros((rows, 1, 1)))
+    assert SphericalFilter(4, coeffs=np.zeros((16, 2, 3))).coeffs.shape == (16, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +228,6 @@ def test_svc_spectral_is_sphere_kernel_of_gamma_average():
     assert np.array_equal(svc_spectral(f, psi).data, kernel.data)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_svc_sphere_rejects_non_finite_output():
     B = 4
     coeffs = random_filter(B, 11).coeffs.copy()
@@ -254,18 +252,20 @@ def test_svc_bandwidth_and_channel_mismatch():
 
 @pytest.mark.parametrize("L", [0, 2, 7])
 def test_svc_spectral_reads_only_the_zonal_rows(L):
-    # bitwise: the ball-grid API is svc_sphere on the filter's zonal rows, at
-    # any filter degree, and zeroing every other row changes nothing
+    # bitwise: the ball-grid API is svc_sphere on the filter's B zonal rows,
+    # also for a filter of degree L whose rows past (L+1)^2 are zero, and
+    # zeroing every other row changes nothing
     B = 8
     f = band_limited_grid(B, 12, channels=2)
-    coeffs = np.random.default_rng(L).standard_normal((sh.n_coeffs(L), 3, 2))
+    coeffs = np.zeros((B * B, 3, 2))
+    coeffs[: sh.n_coeffs(L)] = np.random.default_rng(L).standard_normal((sh.n_coeffs(L), 3, 2))
     psi = SphericalFilter(B, coeffs=coeffs)
     zonal = zonal_rows(psi)
-    assert zonal.shape == (L + 1, 3, 2)
+    assert zonal.shape == (B, 3, 2) and not zonal[L + 1 :].any()
     out = svc_spectral(f, psi).data
     assert np.array_equal(out, svc_sphere(gamma_average(f), zonal).data)
     only_zonal = np.zeros_like(coeffs)
-    only_zonal[[sh.coeff_index(l, 0) for l in range(L + 1)]] = zonal
+    only_zonal[[sh.coeff_index(l, 0) for l in range(B)]] = zonal
     assert np.array_equal(out, svc_spectral(f, SphericalFilter(B, coeffs=only_zonal)).data)
 
 
@@ -275,11 +275,12 @@ def test_svc_spectral_reads_only_the_zonal_rows(L):
         ((4, 1), "zonal rows"),
         ((4, 1, 1, 1), "zonal rows"),
         ((0, 1, 1), "zonal rows"),
+        ((3, 1, 1), "bandwidth 4"),
         ((5, 1, 1), "bandwidth 4"),
         ((16, 1, 1), "bandwidth 4"),
         ((4, 1, 2), "channel"),
     ],
-    ids=["rank-2", "rank-4", "no-rows", "degree-B", "full-sh-rows", "c-in"],
+    ids=["rank-2", "rank-4", "no-rows", "below-B", "degree-B", "full-sh-rows", "c-in"],
 )
 def test_svc_sphere_rejects_malformed_zonal_rows(shape, match):
     g = S2Signal(4, np.ones((8, 8, 1)))

@@ -11,7 +11,9 @@ from rotalith.errors import InputFormatError
 from rotalith.geometry import cart_to_spherical, rot_z, spherical_to_cart
 from rotalith.harmonics import alpha_nodes, beta_nodes, h_nodes
 from rotalith.voxelize import (
+    _MAX_COORD,
     SamplingConfig,
+    _cloud_array,
     _voxelize_spherical,
     grid_shift_alpha,
     normalize_cloud,
@@ -129,6 +131,25 @@ def test_normalize_cloud():
             warnings.simplefilter("error")
             with pytest.raises(InputFormatError, match="too large to normalize"):
                 normalize_cloud(np.array(huge))
+
+
+def test_cloud_array_bounds_coordinates_so_squares_stay_finite():
+    # every path that reads a cloud checks it here, normalizing or not: past
+    # _MAX_COORD a squared distance, norm or dot product of two points could
+    # overflow, below it none can
+    for huge in (1e160, -1e160, np.nextafter(_MAX_COORD, np.inf)):
+        with pytest.raises(InputFormatError, match="too large"):
+            _cloud_array(np.array([[huge, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    for big in (1e150, _MAX_COORD):
+        pts = np.array([[big, -big, big], [-big, big, -big]])
+        assert _cloud_array(pts) is pts
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = pts[0] - pts[1]
+            assert np.isfinite([d @ d, pts[0] @ pts[1], np.linalg.norm(pts, axis=1).max()]).all()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputFormatError, match="non-finite"):
+            _cloud_array(np.array([[0.0, bad, 0.0], [1e300, 0.0, 0.0]]))
 
 
 def test_alpha_window_wraps_at_seam():
