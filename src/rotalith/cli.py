@@ -66,6 +66,9 @@ def _cmd_voxelize(args) -> int:
     nz = int(np.count_nonzero(grid.data))
     print(f"bandwidth={args.bandwidth} mode={cfg.mode} xi={cfg.xi:.9g} "
           f"nonzero={nz} mass={grid.data.sum():.9g}")
+    if nz == 0:
+        print("rotalith: warning: no window reached a grid node, so the grid is all zero; "
+              "try a larger --xi or --bandwidth", file=sys.stderr)
     return EXIT_OK
 
 

@@ -26,6 +26,7 @@ MAGIC = b"RTLH"
 VERSION = 1
 
 _INT64 = np.iinfo(np.int64)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _label(token: str, where: str) -> int:
@@ -122,7 +123,19 @@ def write_cloud(path, points: np.ndarray, labels: np.ndarray | None = None) -> N
 
 
 def write_archive(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write named tensors as float32; names must be unique (dict keys are)."""
+    """Write named tensors as float32; names must be unique (dict keys are).
+
+    A tensor holding a finite value beyond the float32 range, which the cast
+    would turn into inf, raises :class:`InputFormatError` naming it before
+    the file is opened.  NaN and infinite values are written as they are.
+    """
+    for name, arr in tensors.items():
+        arr = np.asarray(arr, dtype=float)
+        peak = max(arr.max(), -arr.min()) if arr.size else 0.0  # NaN propagates through both
+        if not peak <= _F32_MAX and np.any(np.isfinite(arr) & (np.abs(arr) > _F32_MAX)):
+            raise InputFormatError(
+                f"tensor {name!r} holds values beyond the float32 range (magnitude {_F32_MAX:.3g})"
+            )
     with Path(path).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(tensors)))

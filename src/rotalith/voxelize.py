@@ -13,6 +13,18 @@ The voxel value is the mean of ``xi - |h_n - h_k|`` over contributing points,
 and 0 for voxels no point touches.  The sin-scaled beta window makes the
 catch region isotropic in Euclidean space, which is what keeps the sampled
 signal stable under rotations of the input.
+
+Each voxel's numerator adds its points' terms in point order, so the grid
+does not depend on how the points are chunked.  A point's radial row (its
+``xi - |h_n - h_k|`` at ``kc`` consecutive radial candidates) is computed
+once, and every sphere cell the point touches adds the whole row to sums
+padded by ``kc`` at both ends.  Candidates outside the window carry +0.0,
+also those past the cell's radial axis, which land in the next cell or the
+pad.  Adding +0.0 leaves every sum bit for bit unchanged (the sums start at
++0.0 and only grow), so this equals adding the in-window terms alone.  The
+denominator counts windows: +1 at a window's first bin, -1 past its last,
+then one prefix sum.  Every partial sum is a small integer, exact in
+float64, so the count does not depend on the order of those adds.
 """
 
 from __future__ import annotations
@@ -77,7 +89,9 @@ def _cloud_array(points: np.ndarray) -> np.ndarray:
     if not peak <= _MAX_COORD:
         if not np.isfinite(peak):
             raise InputFormatError("cloud has non-finite coordinates")
-        raise InputFormatError("cloud coordinates are too large to normalize")
+        raise InputFormatError(
+            f"cloud coordinates exceed {_MAX_COORD:.2g} in magnitude, too large to normalize or to square"
+        )
     return points
 
 
@@ -114,53 +128,64 @@ def _voxelize_spherical(
     bj = beta_nodes(B)
     eta = np.sin(bj) if cfg.mode == "daas" else np.ones(n_bins)
 
-    num = np.zeros(n_bins * n_bins * n_bins)
-    den = np.zeros(n_bins * n_bins * n_bins)
-
     # candidate index offsets per axis; windows never span more bins than
     # this, and alpha candidates stop at one turn so each bin is entered once
     ka = min(int(np.floor(2 * xi / d_alpha)) + 2, n_bins)
     kb = int(np.floor(2 * xi / d_beta)) + 2
     kc = int(np.floor(2 * xi / d_h)) + 2
 
-    # a chunk's points expand to at most ka * kb * kc float64 candidates each
+    # the flat sums, padded by kc at both ends so every kc-wide radial row fits
+    size = n_bins**3 + 2 * kc
+    num = np.zeros(size)
+    den = np.zeros(size)
+    steps = np.arange(kc)
+
+    # a chunk's points touch at most ka * kb sphere cells each, and each cell
+    # expands to kc float64 radial values (and as many int64 indices); the
+    # per-point candidates are (candidate, point) arrays, so every numpy pass
+    # over them runs along the long point axis
     for chunk in chunks._point_chunks(alpha.shape[0], 8 * ka * kb * kc, chunks._LOOP_CHUNK_BYTES):
         a, b, r = alpha[chunk], beta[chunk], h[chunk]
 
         # alpha: unwrapped candidate indices near a / d_alpha, distance on
         # the circle, wrap at the seam; d >= 2*pi needs xi > d, where every
         # bin is inside the window, and 2*pi - d <= 0 admits it
-        ia0 = np.ceil((a - xi) / d_alpha).astype(np.int64)
-        ia = ia0[:, None] + np.arange(ka)[None, :]
-        d = np.abs(a[:, None] - ia * d_alpha)
+        ia = np.ceil((a - xi) / d_alpha).astype(np.int64) + np.arange(ka)[:, None]
+        d = np.abs(a - ia * d_alpha)
         mask_a = np.minimum(d, 2 * np.pi - d) < xi
         ia = np.mod(ia, n_bins)
 
-        jb0 = np.ceil((b - xi) / d_beta - 0.5).astype(np.int64)
-        jb = jb0[:, None] + np.arange(kb)[None, :]
-        in_range_b = (jb >= 0) & (jb < n_bins)
+        jb = np.ceil((b - xi) / d_beta - 0.5).astype(np.int64) + np.arange(kb)[:, None]
         jb_safe = np.clip(jb, 0, n_bins - 1)
-        mask_b = in_range_b & (np.abs(b[:, None] - bj[jb_safe]) < eta[jb_safe] * xi)
+        mask_b = (jb == jb_safe) & (np.abs(b - bj[jb_safe]) < eta[jb_safe] * xi)
 
+        # each point's radial row, 0 outside its window, and the window's
+        # ends [lo, hi): its bins are one run, after the candidates below it
         kc0 = np.ceil((r - xi) / d_h).astype(np.int64)
-        kk = kc0[:, None] + np.arange(kc)[None, :]
-        in_range_c = (kk >= 0) & (kk < n_bins)
-        h_dist = np.abs(r[:, None] - kk * d_h)
-        mask_c = in_range_c & (h_dist < xi)
+        kk = kc0 + steps[:, None]
+        diff = r - kk * d_h
+        h_dist = np.abs(diff)
+        mask_c = (kk >= 0) & (kk < n_bins) & (h_dist < xi)
+        radial = np.where(mask_c, xi - h_dist, 0.0)
+        lo = kc0 + ((kk < 0) | (diff >= xi)).sum(axis=0)
+        hi = lo + mask_c.sum(axis=0)
 
-        # sphere cells each point touches, in (point, alpha, beta) order, then
-        # their radial candidates: add.at sums in point order, so the grid
-        # does not depend on the chunk size
-        p, i, j = np.nonzero(mask_a[:, :, None] & mask_b[:, None, :])
-        sel = mask_c[p]
-        cell = (ia[p, i] * n_bins + jb_safe[p, j]) * n_bins
-        flat_idx = (cell[:, None] + kk[p])[sel]
-        np.add.at(num, flat_idx, xi - h_dist[p][sel])
-        np.add.at(den, flat_idx, 1.0)
+        # sphere cells each point touches, in (point, alpha, beta) order; each
+        # takes its point's whole radial row and a +1 / -1 at its window's ends
+        hits = np.flatnonzero((mask_a[:, None, :] & mask_b[None, :, :]).transpose(2, 0, 1))
+        p, ij = np.divmod(hits, ka * kb)
+        i, j = np.divmod(ij, kb)
+        cell = (ia[i, p] * n_bins + jb_safe[j, p]) * n_bins + kc
+        np.add.at(num, ((cell + kc0[p])[:, None] + steps).ravel(), radial[:, p].T.ravel())
+        np.add.at(den, cell + lo[p], 1.0)
+        np.add.at(den, cell + hi[p], -1.0)
 
-    # num is exactly 0 wherever den is, so one in-place division gives the mean
-    num /= np.maximum(den, 1.0, out=den)
-    return SphericalGrid(B, num.reshape(n_bins, n_bins, n_bins, 1))
+    # the window counts; num is exactly 0 wherever they are, so one in-place
+    # division gives the mean
+    np.cumsum(den, out=den)
+    grid, count = num[kc : size - kc], den[kc : size - kc]
+    grid /= np.maximum(count, 1.0, out=count)
+    return SphericalGrid(B, grid.reshape(n_bins, n_bins, n_bins, 1))
 
 
 def grid_shift_alpha(grid: SphericalGrid, m: int) -> SphericalGrid:

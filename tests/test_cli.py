@@ -104,7 +104,34 @@ def test_cloud_too_large_to_normalize_exits_2(tmp_path, capsys, argv):
         code, stdout, err = run_cli(capsys, *argv, "--in", str(path))
     assert code == 2
     assert stdout == ""
-    assert err == "rotalith: cloud coordinates are too large to normalize\n"
+    assert err == "rotalith: cloud coordinates exceed 3.4e+153 in magnitude, too large to normalize or to square\n"
+
+
+def test_features_beyond_float32_exit_2_without_archive(tmp_path, capsys):
+    # 1e150 passes the coordinate bound and the float64 features stay finite,
+    # but they exceed float32, which the archive stores: no inf is written
+    path = tmp_path / "big.xyz"
+    write_cloud(path, blob_cloud(200, 1) * 1e150)
+    out = tmp_path / "f.rtlh"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the run
+        code, stdout, err = run_cli(capsys, "features", "--pipeline", "sprin", "--no-normalize",
+                                    "--in", str(path), "--out", str(out))
+    assert code == 2
+    assert stdout == "" and not out.exists()
+    assert err == "rotalith: tensor 'features' holds values beyond the float32 range (magnitude 3.4e+38)\n"
+
+
+def test_voxelize_empty_grid_warns_on_stderr(cloud_file, tmp_path, capsys):
+    # at B=4 and the default xi = 1/32 no window of this cloud reaches a node
+    argv = ("voxelize", "--in", str(cloud_file), "--bandwidth", "4", "--out", str(tmp_path / "g.rtlh"))
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert stdout == "bandwidth=4 mode=daas xi=0.03125 nonzero=0 mass=0\n"
+    assert err.count("\n") == 1 and err.startswith("rotalith: warning: ")
+    assert "--xi" in err and "--bandwidth" in err
+    code, stdout, err = run_cli(capsys, *argv, "--xi", "0.1")
+    assert code == 0 and "nonzero=0" not in stdout and err == ""
 
 
 def test_allocation_numpy_cannot_make_exits_2(cloud_file, tmp_path, capsys):

@@ -198,3 +198,23 @@ def test_archive_empty_ok(tmp_path):
     path = tmp_path / "e.rtlh"
     write_archive(path, {})
     assert read_archive(path) == {}
+
+
+def test_archive_rejects_values_beyond_float32_before_writing(tmp_path):
+    import warnings
+
+    f32_max = float(np.finfo(np.float32).max)
+    path = tmp_path / "o.rtlh"
+    for bad in (1e39, -1e39, np.nextafter(f32_max, np.inf)):
+        tensors = {"ok": np.ones(3), "features": np.array([[0.0, bad], [np.nan, 1.0]])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy cast warning either
+            with pytest.raises(InputFormatError, match="tensor 'features' .* float32 range"):
+                write_archive(path, tensors)
+        assert not path.exists()
+    # the float32 extremes, NaN and the infinities are written as they are
+    edge = np.array([f32_max, -f32_max, np.nan, np.inf, -np.inf, 0.0])
+    write_archive(path, {"edge": edge, "empty": np.zeros((0, 2))})
+    back = read_archive(path)
+    assert np.array_equal(back["edge"], edge, equal_nan=True)
+    assert back["empty"].shape == (0, 2)

@@ -256,3 +256,81 @@ def test_voxelize_holds_no_grid_temporaries_beyond_its_sums():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * grid.data.nbytes  # 5 MiB; each full-grid temporary adds 2 MiB
+
+
+def _reference_voxelize(alpha, beta, h, B, cfg):
+    """The per-candidate scatter: every (point, touched cell, in-window radial
+    bin) triple is listed and added on its own, in point order."""
+    n_bins, xi = 2 * B, cfg.xi
+    d_alpha, d_beta, d_h = np.pi / B, np.pi / n_bins, 1.0 / n_bins
+    bj = beta_nodes(B)
+    eta = np.sin(bj) if cfg.mode == "daas" else np.ones(n_bins)
+    num = np.zeros(n_bins**3)
+    den = np.zeros(n_bins**3)
+    ka = min(int(np.floor(2 * xi / d_alpha)) + 2, n_bins)
+    kb = int(np.floor(2 * xi / d_beta)) + 2
+    kc = int(np.floor(2 * xi / d_h)) + 2
+
+    ia = np.ceil((alpha - xi) / d_alpha).astype(np.int64)[:, None] + np.arange(ka)
+    d = np.abs(alpha[:, None] - ia * d_alpha)
+    mask_a = np.minimum(d, 2 * np.pi - d) < xi
+    ia = np.mod(ia, n_bins)
+    jb = np.ceil((beta - xi) / d_beta - 0.5).astype(np.int64)[:, None] + np.arange(kb)
+    jb_safe = np.clip(jb, 0, n_bins - 1)
+    mask_b = (jb >= 0) & (jb < n_bins) & (np.abs(beta[:, None] - bj[jb_safe]) < eta[jb_safe] * xi)
+    kk = np.ceil((h - xi) / d_h).astype(np.int64)[:, None] + np.arange(kc)
+    h_dist = np.abs(h[:, None] - kk * d_h)
+    mask_c = (kk >= 0) & (kk < n_bins) & (h_dist < xi)
+
+    p, i, j = np.nonzero(mask_a[:, :, None] & mask_b[:, None, :])
+    sel = mask_c[p]
+    cell = (ia[p, i] * n_bins + jb_safe[p, j]) * n_bins
+    flat_idx = (cell[:, None] + kk[p])[sel]
+    np.add.at(num, flat_idx, xi - h_dist[p][sel])
+    np.add.at(den, flat_idx, 1.0)
+    num /= np.maximum(den, 1.0)
+    return num.reshape(n_bins, n_bins, n_bins, 1)
+
+
+def _edge_cloud(n=200):
+    """A ball cloud with duplicates, the origin, both poles, points on the
+    alpha seam (0 and 2*pi - eps) and points at |x| = 1."""
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal((n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    ball = v * rng.uniform(0.0, 1.0, (n, 1))
+    special = [
+        [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.4], [0.0, 0.0, -0.7],
+        [0.6, 0.0, 0.3], spherical_to_cart(2 * np.pi - 1e-9, 1.2, 0.8),
+        spherical_to_cart(2 * np.pi - 1e-3, 2.0, 0.5), [1.0, 0.0, 0.0],
+    ]
+    return np.concatenate([ball, np.array(special), v[:15], ball[:10], ball[:10]])
+
+
+@pytest.mark.parametrize("mode", ["daas", "uniform"])
+@pytest.mark.parametrize(
+    "cloud,B,xi",
+    [
+        ("blob", 32, 0.1),
+        ("blob", 8, 0.1),
+        ("blob", 8, 1.0),  # windows wider than one turn of alpha
+        ("edge", 2, 3.0),
+        ("edge", 8, 0.02),  # xi < d_h / 2: some radial windows hold no bin
+        ("edge", 16, 0.1),
+        ("edge", 4, 0.4),
+    ],
+)
+def test_matches_per_candidate_scatter_bit_for_bit(cloud, B, xi, mode):
+    from rotalith.pipeline import blob_cloud
+
+    pts = blob_cloud(2000, 1) if cloud == "blob" else _edge_cloud()
+    alpha, beta, h = cart_to_spherical(pts)
+    cfg = SamplingConfig(xi=xi, mode=mode)
+    want = _reference_voxelize(alpha, beta, h, B, cfg)
+    got = _voxelize_spherical(alpha, beta, h, B, cfg).data
+    assert np.count_nonzero(want) > 0
+    assert got.tobytes() == want.tobytes()
+    if xi < 0.5 / (2 * B):
+        # the case is what it says: some point's radial window misses every bin
+        k = np.ceil((h - xi) * 2 * B)
+        assert np.any(np.abs(h - k / (2 * B)) >= xi)
