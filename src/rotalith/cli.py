@@ -108,6 +108,9 @@ def _cmd_features(args) -> int:
     feats = global_feat[None, :] if args.mode_global else per_point
     write_archive(args.out, {"features": feats})
     print(f"pipeline={args.pipeline} rows={feats.shape[0]} channels={feats.shape[1]}")
+    if not feats.any():
+        print("rotalith: warning: every written feature is exactly zero; with --pipeline prin, "
+              "`rotalith voxelize` shows whether the cloud's grid is empty", file=sys.stderr)
     return EXIT_OK
 
 

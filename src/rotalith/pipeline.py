@@ -20,7 +20,7 @@ from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
 from .so3 import gamma_average, svc_sphere
-from .sprin import correlate_at, farthest_point_sampling, knn_table
+from .sprin import correlate_at, farthest_point_sampling, invariant_table, knn_table
 from .voxelize import SamplingConfig, _cloud_array, normalize_cloud
 
 # prin_forward's voxelizer stage, bound as `voxelize`: the name perfbench's
@@ -324,11 +324,17 @@ def sprin_forward(
     Runs the plan in three phases: every FPS level, then one neighbor table
     per (centers, source) pair of levels, built for the largest k any layer
     uses on that pair, then the encoder layers, the pooled ``cls`` head and
-    the decoder layers.  A layer with dilation d reads every d-th of its k
-    nearest neighbors, so the output depends on nothing but the cloud and
-    the weights.  ``seed`` is ignored; it stays only for callers that still
-    pass it.  A cloud with fewer points than the largest FPS size or k the
-    stack draws from it raises :class:`InputFormatError` before any work.
+    the decoder layers.  Level c's points are rows of level c - 1, so the
+    pair (c, s) takes rows of the (c - 1, s) table when that table is at
+    least k wide; only the other pairs run a distance pass.  Layers
+    with the same (centers, source, d) read one :func:`invariant_table`,
+    built at the group's first layer for its largest k and dropped after
+    its last; each layer reads its first ``ceil(k/d)`` columns.  A layer
+    with dilation d reads every d-th of its k nearest neighbors, so the
+    output depends on nothing but the cloud and the weights.  ``seed`` is
+    ignored; it stays only for callers that still pass it.  A cloud with
+    fewer points than the largest FPS size or k the stack draws from it
+    raises :class:`InputFormatError` before any work.
 
     Returns ``(per_point (N, seg_head[-1]), global (cls_head[-1],))``.
     ``weights`` are checked as in :func:`prin_forward`, before any work.
@@ -344,21 +350,40 @@ def sprin_forward(
         )
     w = _checked_weights(weights, cfg)
 
-    levels = [points]
+    levels, picks = [points], []
     for m in fps:
         prev = levels[-1]
-        levels.append(prev[farthest_point_sampling(prev, m, _canonical_fps_start(prev))])
+        picks.append(farthest_point_sampling(prev, m, _canonical_fps_start(prev)))
+        levels.append(prev[picks[-1]])
+    layers = enc + dec
     k_max: dict[tuple[int, int], int] = {}
-    for layer in enc + dec:
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, layer in enumerate(layers):
         pair = (layer.centers, layer.source)
         k_max[pair] = max(k_max.get(pair, 0), layer.k)
-    tables = {(c, s): knn_table(levels[s], levels[c], k) for (c, s), k in k_max.items()}
+        groups.setdefault(pair + (layer.d,), []).append(i)
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    for (c, s), k in sorted(k_max.items()):
+        # level c's points are rows picks[c - 1] of level c - 1, and table rows
+        # are stable by (distance, index), so a wide enough finer table holds them
+        finer = tables.get((c - 1, s))
+        if finer is not None and finer.shape[1] >= k:
+            tables[c, s] = finer[picks[c - 1], :k]
+        else:
+            tables[c, s] = knn_table(levels[s], levels[c], k)
 
+    invs: dict[tuple[int, int, int], np.ndarray] = {}
     feats = None
-    for i, layer in enumerate(enc + dec):
-        c, s = layer.centers, layer.source
-        neighbors = tables[c, s][:, : layer.k : layer.d]
-        feats = correlate_at(levels[s], feats, levels[c], neighbors, _mlp(w, layer.key))
+    for i, layer in enumerate(layers):
+        c, s, d = group = layer.centers, layer.source, layer.d
+        if group not in invs:
+            k = max(layers[j].k for j in groups[group])
+            invs[group] = invariant_table(levels[s], levels[c], tables[c, s][:, :k:d])
+        neighbors = tables[c, s][:, : layer.k : d]
+        inv = invs[group][:, : neighbors.shape[1]]  # the first ceil(k/d) columns
+        feats = correlate_at(inv, feats, neighbors, _mlp(w, layer.key))
+        if i == groups[group][-1]:
+            del invs[group], inv  # the view would keep the table alive
         if i == len(enc) - 1:
             pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
             global_feat = _head_apply(_mlp(w, "cls"), pooled)

@@ -183,27 +183,53 @@ def farthest_point_sampling(points: np.ndarray, m: int, start_idx: int = 0) -> n
     return chosen
 
 
+def invariant_table(
+    source_points: np.ndarray, center_pos: np.ndarray, neighbors: np.ndarray
+) -> np.ndarray:
+    """The 8 invariants of every (neighbor, center) pair of a neighbor table.
+
+    ``neighbors`` holds, per center, indices into ``source_points``; the
+    centroid of the invariants is the mean of ``source_points``.  Returns
+    ``(C, k', 8)`` for ``neighbors`` of shape ``(C, k')``, bitwise the
+    :func:`relative_invariants` of each pair.  The per-point terms are formed
+    once per source point and per center; the pairs are filled in blocks of
+    centers within the chunk budget (``chunks._CHUNK_BYTES``) at the table's
+    ``64 * k'`` bytes per center.  The invariants are elementwise per pair,
+    so no bit depends on the block size, and the first columns of a table
+    are the table of the first columns of ``neighbors``.
+    """
+    centroid = source_points.mean(axis=0)[:, None]
+    src = _point_terms(source_points.T, centroid)
+    cen = _point_terms(center_pos.T, centroid)
+    table = np.empty(neighbors.shape + (8,))
+    for rows in chunks._point_chunks(neighbors.shape[0], 64 * neighbors.shape[1]):
+        table[rows] = _invariants(src[:, neighbors[rows]], cen[:, rows, None])
+    return table
+
+
 def correlate_at(
-    source_points: np.ndarray,
+    inv: np.ndarray,
     source_feats: np.ndarray | None,
-    center_pos: np.ndarray,
     neighbors: np.ndarray,
     layers: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
-    """One correlation layer: center positions against a source cloud.
+    """One correlation layer: the filter on each center's neighbor pairs.
 
     ``neighbors`` holds, per center, the indices into the source of the
     neighbors the layer reads; a layer with (k, d) reads every d-th of the
     first k columns of a :func:`knn_table`, ``ceil(k/d)`` per center (see
-    :func:`dilated_knn`).  The centroid of the invariants is the mean of
-    ``source_points``.  ``layers`` is the two-layer filter
+    :func:`dilated_knn`).  ``inv`` is those pairs' :func:`invariant_table`,
+    shape ``neighbors.shape + (8,)``; it may be the first columns of a wider
+    table that other layers also read.  ``source_feats`` are the source
+    points' features, or None.  ``layers`` is the two-layer filter
     ``[(W0, b0), (W1, b1)]`` with a rectifier between; any other depth
     raises ValueError.  The result is the neighbor mean of the filter on
     ``[invariants || features]`` per pair, but only the first layer's
     invariant columns and the rectifier run per pair, in blocks of centers
     within the chunk budget (``chunks._CHUNK_BYTES``) at
-    ``8 * neighbors.shape[1] * max(8, hidden)`` bytes per center, at least
-    one.  A block leaves only its neighbor mean; no bit depends on its size.
+    ``16 * neighbors.shape[1] * hidden`` bytes per center (the activation
+    and the gathered first-layer term), at least one.  A block leaves only
+    its neighbor mean; no bit depends on its size.
     """
     if len(layers) != 2:
         raise ValueError(f"correlate_at runs a two-layer filter, got {len(layers)} layers")
@@ -211,21 +237,17 @@ def correlate_at(
     expected = 8 + (0 if source_feats is None else source_feats.shape[1])
     if W0.shape[1] != expected:
         raise ValueError(f"filter expects input width {W0.shape[1]}, features give {expected}")
-    centroid = source_points.mean(axis=0)[:, None]
-    # the invariants' per-point terms once per source point and per center
-    src = _point_terms(source_points.T, centroid)
-    cen = _point_terms(center_pos.T, centroid)
+    if inv.shape != neighbors.shape + (8,):
+        raise ValueError(f"invariants {inv.shape} do not fit neighbors {neighbors.shape}")
     # first layer: the feature columns and the bias act once per source point
     point = None if source_feats is None else source_feats @ W0[:, 8:].T + b0
     # its invariant columns and the rectifier run per pair; the second layer
     # is affine, so it commutes with the mean and runs once per center on it
     hidden = W0.shape[0]
     mean = np.empty((neighbors.shape[0], hidden))
-    for rows in chunks._point_chunks(neighbors.shape[0], 8 * neighbors.shape[1] * max(8, hidden)):
-        idx = neighbors[rows]
-        inv = _invariants(src[:, idx], cen[:, rows, None])
-        h = inv @ W0[:, :8].T
-        h += b0 if point is None else point[idx]
+    for rows in chunks._point_chunks(neighbors.shape[0], 16 * neighbors.shape[1] * hidden):
+        h = inv[rows] @ W0[:, :8].T
+        h += b0 if point is None else point[neighbors[rows]]
         np.maximum(h, 0.0, out=h)
         mean[rows] = h.mean(axis=1)
     return mean @ W1.T + b1

@@ -134,6 +134,29 @@ def test_voxelize_empty_grid_warns_on_stderr(cloud_file, tmp_path, capsys):
     assert code == 0 and "nonzero=0" not in stdout and err == ""
 
 
+def test_features_all_zero_warn_on_stderr(cloud_file, tmp_path, capsys):
+    # the same empty B=4 grid: every feature row is exactly zero
+    out = tmp_path / "p.rtlh"
+    code, stdout, err = run_cli(capsys, "features", "--pipeline", "prin", "--bandwidth", "4",
+                                "--in", str(cloud_file), "--out", str(out))
+    assert code == 0
+    assert stdout == "pipeline=prin rows=128 channels=50\n"
+    assert read_archive(out)["features"].shape == (128, 50)
+    assert not read_archive(out)["features"].any()
+    assert err.count("\n") == 1
+    assert err.startswith("rotalith: warning: every written feature is exactly zero")
+
+
+@pytest.mark.parametrize("mode", ["--per-point", "--global"])
+def test_sprin_features_do_not_warn(cloud_file, tmp_path, capsys, mode):
+    out = tmp_path / "s.rtlh"
+    code, stdout, err = run_cli(capsys, "features", "--pipeline", "sprin", mode,
+                                "--in", str(cloud_file), "--out", str(out))
+    assert code == 0 and stdout.startswith("pipeline=sprin rows=")
+    assert read_archive(out)["features"].any()
+    assert err == ""
+
+
 def test_allocation_numpy_cannot_make_exits_2(cloud_file, tmp_path, capsys):
     # B = 20000 asks for a (2B)^3 float64 grid, 466 TiB: more than any 47- or
     # 48-bit user address space, so the allocation fails without touching memory

@@ -1,5 +1,6 @@
 """Sparse path: invariant scalars, kNN/FPS kernels, correlation layers."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from rotalith.sprin import (
     correlate_at,
     dilated_knn,
     farthest_point_sampling,
+    invariant_table,
     knn_table,
     relative_invariants,
 )
@@ -239,7 +241,9 @@ def test_sprin_forward_dilation_independent_of_seed():
     assert np.linalg.norm(rot_g - base[1]) / np.linalg.norm(base[1]) < 1e-5
 
 
-def test_sprin_forward_builds_levels_and_tables_before_any_correlation(monkeypatch):
+def _record_forward(monkeypatch, pts, cfg, names=("farthest_point_sampling", "knn_table",
+                                                   "invariant_table", "correlate_at")):
+    """``(name, args, result)`` of every call ``sprin_forward`` makes to ``names``."""
     calls = []
 
     def record(name, kernel):
@@ -250,22 +254,97 @@ def test_sprin_forward_builds_levels_and_tables_before_any_correlation(monkeypat
 
         return wrapped
 
-    for name in ("farthest_point_sampling", "knn_table", "correlate_at"):
-        monkeypatch.setattr(pipeline, name, record(name, getattr(pipeline, name)))
+    with monkeypatch.context() as m:
+        for name in names:
+            m.setattr(pipeline, name, record(name, getattr(pipeline, name)))
+        pipeline.sprin_forward(pts, pipeline.init_weights(cfg, 0), cfg)
+    return calls
+
+
+def _levels(pts, calls):
+    """The point sets of the FPS levels, from the recorded FPS picks."""
+    levels = [pts]
+    for name, _, picks in calls:
+        if name == "farthest_point_sampling":
+            levels.append(levels[-1][picks])
+    return levels
+
+
+def test_sprin_forward_builds_levels_and_tables_before_any_correlation(monkeypatch):
     cfg = pipeline.SprinConfig()  # 2 FPS levels, 7 (centers, source) pairs, 13 layers
-    pipeline.sprin_forward(pipeline.blob_cloud(512, 3), pipeline.init_weights(cfg, 0), cfg)
-    names = [name for name, _, _ in calls]
-    assert names == ["farthest_point_sampling"] * 2 + ["knn_table"] * 7 + ["correlate_at"] * 13
-    # the levels hold 512, 128 and 32 points, so sizes tell the pairs apart
-    tables = {(len(args[1]), len(args[0])): out for name, args, out in calls if name == "knn_table"}
-    assert len(tables) == 7
+    pts = pipeline.blob_cloud(512, 3)
+    calls = _record_forward(monkeypatch, pts, cfg)
     _, enc, dec = pipeline._sparse_plan(cfg)
+    layers = enc + dec
+    # a (centers, source, d) group's invariants are built at its first layer
+    groups = [(layer.centers, layer.source, layer.d) for layer in layers]
+    runs = []
+    for i, group in enumerate(groups):
+        runs += ["invariant_table"] * (group not in groups[:i]) + ["correlate_at"]
+    names = [name for name, _, _ in calls]
+    # 4 distance passes for 7 tables: table(1,0), table(1,1) and table(2,1)
+    # are rows of table(0,0), table(0,1) and table(1,1)
+    assert names == ["farthest_point_sampling"] * 2 + ["knn_table"] * 4 + runs
+    assert runs.count("invariant_table") == 8
+    levels = _levels(pts, calls)
+    built = [out for name, _, out in calls if name == "knn_table"]
+    # groups in the order of their first layers, each with its one invariant table
+    inv_tables = dict(zip(dict.fromkeys(groups), [
+        (args, out) for name, args, out in calls if name == "invariant_table"
+    ], strict=True))
     layer_args = [args for name, args, _ in calls if name == "correlate_at"]
-    for layer, args in zip(enc + dec, layer_args, strict=True):
-        # each layer reads every d-th of the first k columns of its pair's prebuilt table
-        table = tables[len(args[2]), len(args[0])]
-        assert np.shares_memory(args[3], table)
-        assert np.array_equal(args[3], table[:, : layer.k : layer.d])
+    tables = {}
+    for layer, group, (inv, feats, nbr, _) in zip(layers, groups, layer_args, strict=True):
+        c, s, d = group
+        # every d-th of the first k columns of its pair's one table, which
+        # equals the oracle table of this pair
+        tables.setdefault((c, s), nbr)
+        assert np.shares_memory(nbr, tables[c, s])
+        assert np.array_equal(nbr, _knn_oracle(levels[s], levels[c], layer.k)[:, :: layer.d])
+        # the first columns of its group's one invariant table
+        (src, cen, wide), table = inv_tables[group]
+        assert np.array_equal(src, levels[s]) and np.array_equal(cen, levels[c])
+        assert np.shares_memory(wide, nbr)
+        assert np.shares_memory(inv, table) and inv.tobytes() == table[:, : nbr.shape[1]].tobytes()
+        ref = _invariants_oracle(levels[s][nbr], levels[c][:, None, :], levels[s].mean(axis=0))
+        assert inv.tobytes() == ref.tobytes()
+    assert len(tables) == 7
+    for a, b in itertools.combinations(tables.values(), 2):
+        assert not np.shares_memory(a, b)
+    # the tables a distance pass built are among them
+    assert all(any(np.shares_memory(t, nbr) for nbr in tables.values()) for t in built)
+
+
+def _dup_cloud():
+    pts = _cloud(29, 100)
+    return np.concatenate([pts] * 3 + [pts[:37]])  # each point three or four times
+
+
+@pytest.mark.parametrize(
+    "cfg", [pipeline.SprinConfig(), pipeline.small_sprin_config(k=12, d=3, m=40)],
+    ids=["default", "small"],
+)
+@pytest.mark.parametrize("cloud", ["blob", "lattice", "duplicates"])
+def test_derived_tables_equal_tables_built_from_scratch(monkeypatch, cfg, cloud):
+    # a coarser level's table is rows of a finer level's table: bitwise the
+    # knn_table of that level, also where ties straddle the k-th neighbor
+    pts = {"blob": pipeline.blob_cloud(300, 5), "lattice": _lattice(7), "duplicates": _dup_cloud()}[cloud]
+    calls = _record_forward(monkeypatch, pts, cfg)
+    levels = _levels(pts, calls)
+    _, enc, dec = pipeline._sparse_plan(cfg)
+    built = [out for name, _, out in calls if name == "knn_table"]
+    layer_args = [args for name, args, _ in calls if name == "correlate_at"]
+    derived, straddles = set(), 0
+    for layer, (_, _, nbr, _) in zip(enc + dec, layer_args, strict=True):
+        c, s = layer.centers, layer.source
+        ref = knn_table(levels[s], levels[c], layer.k)[:, :: layer.d]
+        assert nbr.dtype == ref.dtype and nbr.tobytes() == ref.tobytes()
+        if not any(np.shares_memory(nbr, t) for t in built):
+            derived.add((c, s))
+            straddles += _straddles(levels[s], levels[c], layer.k)
+    # default: table(1,0), (1,1) and (2,1); small: table(1,0) and (1,1)
+    assert derived == ({(1, 0), (1, 1), (2, 1)} if len(cfg.encoder) == 3 else {(1, 0), (1, 1)})
+    assert (straddles > 0) == (cloud != "blob")
 
 
 @pytest.mark.parametrize("small", [False, True], ids=["default", "small"])
@@ -336,8 +415,10 @@ def _mlp_apply(filt, x):
 
 
 def _correlate(source, feats, centers, filt, k):
-    """One d = 1 layer as sprin_forward runs it: a neighbor table, then correlate_at."""
-    return correlate_at(source, feats, centers, knn_table(source, centers, k), filt)
+    """One d = 1 layer as sprin_forward runs it: a neighbor table, its
+    invariants, then correlate_at."""
+    nbr = knn_table(source, centers, k)
+    return correlate_at(invariant_table(source, centers, nbr), feats, nbr, filt)
 
 
 def test_constant_filter_gives_constant_output():
@@ -354,6 +435,16 @@ def test_correlate_at_rejects_other_filter_depths(widths):
     pts = _cloud(4, 30)
     with pytest.raises(ValueError, match=f"two-layer filter, got {len(widths) - 1} layers"):
         _correlate(pts, None, pts, _filter(widths, 0), 8)
+
+
+def test_correlate_at_rejects_invariants_that_do_not_fit_neighbors():
+    pts = _cloud(4, 30)
+    nbr = knn_table(pts, pts, 8)
+    inv = invariant_table(pts, pts, nbr)
+    filt = _filter((8, 16, 4), 0)
+    for bad in (inv[:, :7], inv[:29], inv[..., :7]):
+        with pytest.raises(ValueError, match="do not fit neighbors"):
+            correlate_at(bad, None, nbr, filt)
 
 
 def test_single_point_cloud():
@@ -471,7 +562,9 @@ def test_feature_propagation_rotation_invariance():
 # ---------------------------------------------------------------------------
 # per-pair oracle: correlate_at splits the filter at its linear ends (first
 # layer per source point, last layer per center on the mean); the oracle
-# concatenates [invariants || features] and runs the whole filter per pair
+# concatenates [invariants || features] and runs the whole filter per pair.
+# The references take the layer's points, so neither shares a table with
+# sprin_forward's plan
 # ---------------------------------------------------------------------------
 
 
@@ -482,6 +575,44 @@ def _correlate_oracle(source_points, source_feats, center_pos, neighbors, filt):
     if source_feats is not None:
         x = np.concatenate([x, source_feats[neighbors]], axis=-1)
     return _mlp_apply(filt, x).mean(axis=1)
+
+
+def _reference_correlate_at(source_points, source_feats, center_pos, neighbors, layers):
+    """The layer as one call from the points: invariants per block of centers, then the filter."""
+    (W0, b0), (W1, b1) = layers
+    centroid = source_points.mean(axis=0)[:, None]
+    src = sprin._point_terms(source_points.T, centroid)
+    cen = sprin._point_terms(center_pos.T, centroid)
+    point = None if source_feats is None else source_feats @ W0[:, 8:].T + b0
+    hidden = W0.shape[0]
+    mean = np.empty((neighbors.shape[0], hidden))
+    for rows in chunks._point_chunks(neighbors.shape[0], 8 * neighbors.shape[1] * max(8, hidden)):
+        idx = neighbors[rows]
+        inv = sprin._invariants(src[:, idx], cen[:, rows, None])
+        h = inv @ W0[:, :8].T
+        h += b0 if point is None else point[idx]
+        np.maximum(h, 0.0, out=h)
+        mean[rows] = h.mean(axis=1)
+    return mean @ W1.T + b1
+
+
+def _reference_sprin_forward(points, weights, cfg, correlate):
+    """sprin_forward with every layer's table built from scratch for its own
+    k and the layer run by ``correlate(source, feats, centers, neighbors, filter)``."""
+    fps, enc, dec = pipeline._sparse_plan(cfg)
+    levels = [points]
+    for m in fps:
+        prev = levels[-1]
+        levels.append(prev[farthest_point_sampling(prev, m, pipeline._canonical_fps_start(prev))])
+    feats = None
+    for i, layer in enumerate(enc + dec):
+        src, cen = levels[layer.source], levels[layer.centers]
+        nbr = knn_table(src, cen, layer.k)[:, :: layer.d]
+        feats = correlate(src, feats, cen, nbr, pipeline._mlp(weights, layer.key))
+        if i == len(enc) - 1:
+            pooled = np.concatenate([feats.max(axis=0), feats.mean(axis=0)])
+            global_feat = pipeline._head_apply(pipeline._mlp(weights, "cls"), pooled)
+    return pipeline._head_apply(pipeline._mlp(weights, "seg"), feats), global_feat
 
 
 ORACLE_CLOUDS = {
@@ -553,8 +684,8 @@ def test_relative_invariants_broadcast_bitwise_equal_to_oracle(shapes):
 
 
 # bitwise: the per-point terms and the per-pair sums add in the oracle's order.
-# The spy joins the invariants of every block of one correlate_at call, with
-# all centers in one block and with a budget of 5 centers per block at d = 1
+# invariant_table runs with all centers in one block and with a budget of 5
+# centers per block at d = 1; the spy counts its blocks
 @pytest.mark.parametrize("case", list(INVARIANT_CASES))
 def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
     pts, centers = INVARIANT_CASES[case]
@@ -563,22 +694,25 @@ def test_invariants_bitwise_equal_to_oracle(monkeypatch, case):
     seen = []
     kernel = sprin._invariants
 
-    def spy(src, cen):  # records the invariants correlate_at feeds its filter
-        seen.append(kernel(src, cen))
-        return seen[-1]
+    def spy(src, cen):
+        seen.append(cen.shape[1])
+        return kernel(src, cen)
 
     monkeypatch.setattr(sprin, "_invariants", spy)
     for d in (1, 2, 3):
         nbr = table[:, :12:d]
         ref = _invariants_oracle(pts[nbr], centers[:, None, :], centroid)
-        for budget in (chunks._CHUNK_BYTES, 5 * 8 * 12 * 8):
+        for budget in (chunks._CHUNK_BYTES, 5 * 64 * 12):
             seen.clear()
             with monkeypatch.context() as m:
                 m.setattr(chunks, "_CHUNK_BYTES", budget)
-                correlate_at(pts, None, centers, nbr, _filter((8, 4, 4), 0))
+                got = invariant_table(pts, centers, nbr)
             assert (len(seen) > 1) == (budget < chunks._CHUNK_BYTES)
-            got = np.concatenate(seen)
+            assert sum(seen) == len(centers)
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        # a layer reading fewer columns reads the first columns of a wider table
+        wide = invariant_table(pts, centers, table[:, ::d])
+        assert wide[:, : nbr.shape[1]].tobytes() == ref.tobytes()
         got = relative_invariants(pts[nbr], centers[:, None, :], centroid)
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
     assert (ref[..., 2] == 0.0).any()  # a center is its own nearest neighbor: s1 = 0
@@ -603,10 +737,11 @@ def test_correlate_at_matches_per_pair_oracle(cloud, d):
     feats = np.random.default_rng(4).standard_normal((len(pts), 5))
     for f in (None, feats):
         filt = _filter((8 + (0 if f is None else 5), 16, 6), 1)
-        args = (pts, f, centers, nbr, filt)
-        got = correlate_at(*args)
-        ref = _correlate_oracle(*args)
+        got = correlate_at(invariant_table(pts, centers, nbr), f, nbr, filt)
+        ref = _correlate_oracle(pts, f, centers, nbr, filt)
         _assert_rel_close(got, ref)
+        ref = _reference_correlate_at(pts, f, centers, nbr, filt)
+        assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("cloud", list(ORACLE_CLOUDS), ids=lambda c: f"{c}-mean")
@@ -620,33 +755,67 @@ def test_sprin_forward_matches_per_pair_oracle(monkeypatch, cloud):
             if "_b" in key:
                 weights[key] = 0.1 * rng.standard_normal(weights[key].shape)
         fast = pipeline.sprin_forward(pts, weights, cfg)
-        with monkeypatch.context() as m:
-            m.setattr(pipeline, "correlate_at", _correlate_oracle)
-            ref = pipeline.sprin_forward(pts, weights, cfg)
+        ref = _reference_sprin_forward(pts, weights, cfg, _correlate_oracle)
         for got, want in zip(fast, ref):
             _assert_rel_close(got, want)
 
 
+@pytest.mark.parametrize("cloud", ["blob", "lattice", "duplicates"])
+def test_sprin_forward_bitwise_equal_to_reference_correlate_at(cloud):
+    # the default stack: shared invariant tables, derived neighbor tables and
+    # d > 1 groups against one from-scratch table and correlation per layer
+    pts = {"blob": pipeline.blob_cloud(300, 5), "lattice": _lattice(7), "duplicates": _dup_cloud()}[cloud]
+    cfg = pipeline.SprinConfig()
+    weights = pipeline.init_weights(cfg, 2)
+    fast = pipeline.sprin_forward(pts, weights, cfg)
+    ref = _reference_sprin_forward(pts, weights, cfg, _reference_correlate_at)
+    for got, want in zip(fast, ref):
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
-# center blocks: correlate_at runs its per-pair work one block of centers at
-# a time, within the chunk budget; no block size moves a bit
+# center blocks: invariant_table and correlate_at run their per-pair work one
+# block of centers at a time, within the chunk budget; no block size moves a bit
 # ---------------------------------------------------------------------------
 
 
 def _block_sizes(monkeypatch, budget, run):
-    """``run()`` with the chunk budget set to ``budget``; its result and the
-    centers per ``_invariants`` call, one call per block."""
+    """``run()`` with the chunk budget set to ``budget``; its result and, per
+    split under that budget, the centers of each block."""
     sizes = []
-    kernel = sprin._invariants
+    split = chunks._point_chunks
 
-    def spy(src, cen):
-        sizes.append(cen.shape[1])
-        return kernel(src, cen)
+    def spy(n, row_bytes, budget=None):
+        parts = split(n, row_bytes, budget)
+        if budget is None:  # the kNN distance rows take the loop budget
+            sizes.append([c.stop - c.start for c in parts])
+        return parts
 
     with monkeypatch.context() as m:
         m.setattr(chunks, "_CHUNK_BYTES", budget)
-        m.setattr(sprin, "_invariants", spy)
+        m.setattr(chunks, "_point_chunks", spy)
         return run(), sizes
+
+
+def _check_blocks(monkeypatch, run, row):
+    """``run()``'s one split of 50 centers, at ``row`` bytes per center, is
+    one block, 50 blocks of one, or 8 of 6 or 7, and gives the same bytes."""
+    ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
+    assert sizes == [[50]]
+    got, sizes = _block_sizes(monkeypatch, 1, run)
+    assert sizes == [[1] * 50] and got.tobytes() == ref.tobytes()
+    got, sizes = _block_sizes(monkeypatch, 7 * row, run)  # 8 blocks of 6 or 7
+    assert sorted(set(sizes[0])) == [6, 7] and sum(sizes[0]) == 50
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_invariant_table_blocks_bitwise_equal_to_one_block(monkeypatch, d):
+    pts = ORACLE_CLOUDS["blob"]
+    centers = pts[::3]  # 50 centers
+    nbr = knn_table(pts, centers, 15)[:, :12:d]
+    row = 64 * len(range(0, 12, d))  # ceil(12/d) pairs of 8 float64 per center
+    _check_blocks(monkeypatch, lambda: invariant_table(pts, centers, nbr), row)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -654,18 +823,12 @@ def test_correlate_at_blocks_bitwise_equal_to_one_block(monkeypatch, d):
     pts = ORACLE_CLOUDS["blob"]
     centers = pts[::3]  # 50 centers
     nbr = knn_table(pts, centers, 15)[:, :12:d]
+    inv = invariant_table(pts, centers, nbr)
     feats = np.random.default_rng(5).standard_normal((len(pts), 5))
     for f in (None, feats):
         filt = _filter((8 + (0 if f is None else 5), 16, 6), 1)
-        row = 8 * len(range(0, 12, d)) * 16  # ceil(12/d) pairs per center at 16 hidden
-        run = lambda: correlate_at(pts, f, centers, nbr, filt)  # noqa: E731
-        ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
-        assert sizes == [50]
-        got, sizes = _block_sizes(monkeypatch, 1, run)
-        assert sizes == [1] * 50 and got.tobytes() == ref.tobytes()
-        got, sizes = _block_sizes(monkeypatch, 7 * row, run)  # 8 blocks of 6 or 7
-        assert sorted(set(sizes)) == [6, 7] and sum(sizes) == 50
-        assert got.tobytes() == ref.tobytes()
+        row = 16 * len(range(0, 12, d)) * 16  # ceil(12/d) pairs per center at 16 hidden
+        _check_blocks(monkeypatch, lambda: correlate_at(inv, f, nbr, filt), row)  # noqa: B023
 
 
 def test_sprin_forward_blocks_bitwise_equal_to_one_block(monkeypatch):
@@ -674,26 +837,45 @@ def test_sprin_forward_blocks_bitwise_equal_to_one_block(monkeypatch):
     weights = pipeline.init_weights(cfg, 2)
     run = lambda: pipeline.sprin_forward(pts, weights, cfg)  # noqa: E731
     ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
-    assert len(sizes) == 13  # one block per layer
+    # one block per invariant table (8 groups) and per layer (13)
+    assert len(sizes) == 21 and all(len(blocks) == 1 for blocks in sizes)
     for budget in (1, 50_000):
         got, sizes = _block_sizes(monkeypatch, budget, run)
-        assert len(sizes) > 13
+        assert len(sizes) == 21 and sum(map(len, sizes)) > 21
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
+
+
+def test_invariant_table_memory_within_block_budget():
+    # the widest default-stack invariant table at 2048 points: 2048 centers x
+    # 32 neighbors is a 4 MiB table; beside it, a block holds its gathered
+    # per-point terms, its invariants and their per-pair temporaries, each
+    # about one budget, never the 8 MiB of gathered terms for all pairs
+    pts = pipeline.blob_cloud(2048, 5)
+    nbr = knn_table(pts, pts, 96)[:, ::3]
+    tracemalloc.start()
+    try:
+        table = invariant_table(pts, pts, nbr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (2048, 32, 8)
+    assert peak - table.nbytes <= 4 * chunks._CHUNK_BYTES
 
 
 def test_correlate_at_memory_within_block_budget():
     # the largest default-stack layer at 2048 points: 2048 centers x 32
     # neighbors at 64 hidden units is a 32 MiB activation in one piece; a
-    # block holds its invariants and two activations of at most one budget
-    # each, beside the per-point first-layer term and the (C, 64) mean
+    # block holds two activations of at most one budget each, beside the
+    # per-point first-layer term and the (C, 64) mean
     pts = pipeline.blob_cloud(2048, 5)
-    table = knn_table(pts, pts, 96)
+    nbr = knn_table(pts, pts, 96)[:, :96:3]
+    inv = invariant_table(pts, pts, nbr)
     feats = np.random.default_rng(6).standard_normal((2048, 64))
     filt = _filter((8 + 64, 64, 64), 7)
     tracemalloc.start()
     try:
-        out = correlate_at(pts, feats, pts, table[:, :96:3], filt)
+        out = correlate_at(inv, feats, nbr, filt)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
