@@ -1,14 +1,17 @@
 """The one chunk policy: per-row work split under one of two byte budgets.
 
 A pass that would build a large temporary for all its rows runs in row
-chunks from :func:`_point_chunks`, a row sized by the bytes of its largest
-per-row temporary.  The budgets are read at call time:
+chunks from :func:`_point_chunks`, a row sized by the bytes of the largest
+per-row temporaries a chunk holds at once.  The budgets are read at call
+time:
 
-* ``_CHUNK_BYTES`` (1 MiB): the dense read-out, the matcher and the sparse
-  center blocks; at this size malloc reuses their temporaries.
+* ``_CHUNK_BYTES`` (1 MiB): the dense read-out, the matcher, the kNN
+  distance rows and the sparse center blocks; at this size malloc reuses
+  their temporaries, and a chunk's few arrays stay within a 2 MiB per-core
+  L2 cache.
 * ``_LOOP_CHUNK_BYTES`` (4 MiB): loops with a long Python body per chunk
-  (the voxelizer, ``sh_eval``, ``svc_bruteforce``) and the kNN distance
-  rows; smaller chunks there only add per-chunk overhead.
+  (the voxelizer, ``sh_eval``, ``svc_bruteforce``); smaller chunks there
+  only add per-chunk overhead.
 
 This module imports nothing from the package, so every module can use it.
 """

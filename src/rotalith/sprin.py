@@ -124,16 +124,18 @@ def knn_table(source: np.ndarray, centers: np.ndarray, k: int) -> np.ndarray:
     distance, index).  The order is stable, so the first k' columns are the
     k'-nearest neighbors for any k' <= k and one table serves every layer
     that correlates the same pair of point sets.  Centers are processed in
-    chunks of ``chunks._LOOP_CHUNK_BYTES`` at ``8 * N`` bytes per center:
-    a chunk holds its ``chunk x N`` squared distances and one per-axis
-    temporary of the same size.
+    chunks of the chunk budget (``chunks._CHUNK_BYTES``) at ``16 * N`` bytes
+    per center: a chunk holds its ``chunk x N`` squared distances beside one
+    per-axis temporary, and then beside the selection's indices, each of
+    the same size, so the pair stays in a per-core L2 cache.  Each row is
+    selected on its own; no bit depends on the chunk.
     """
     n = source.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} (the source point count), got k={k}")
     table = np.empty((centers.shape[0], k), dtype=np.int64)
     src = np.ascontiguousarray(source.T)
-    for rows in chunks._point_chunks(centers.shape[0], 8 * n, chunks._LOOP_CHUNK_BYTES):
+    for rows in chunks._point_chunks(centers.shape[0], 16 * n):
         cen = centers[rows]
         # (dx^2 + dz^2) + dy^2 is the order einsum("cnk,cnk->cn") adds in, so
         # these are bitwise the distances of the (rows, N, 3) difference tensor
@@ -203,7 +205,7 @@ def invariant_table(
     cen = _point_terms(center_pos.T, centroid)
     table = np.empty(neighbors.shape + (8,))
     for rows in chunks._point_chunks(neighbors.shape[0], 64 * neighbors.shape[1]):
-        table[rows] = _invariants(src[:, neighbors[rows]], cen[:, rows, None])
+        table[rows] = _invariants(np.take(src, neighbors[rows], axis=1), cen[:, rows, None])
     return table
 
 
@@ -228,8 +230,11 @@ def correlate_at(
     invariant columns and the rectifier run per pair, in blocks of centers
     within the chunk budget (``chunks._CHUNK_BYTES``) at
     ``16 * neighbors.shape[1] * hidden`` bytes per center (the activation
-    and the gathered first-layer term), at least one.  A block leaves only
-    its neighbor mean; no bit depends on its size.
+    and the gathered first-layer term), at least one.  A block is held
+    neighbor-major, ``(k', rows, hidden)``, and filled by one
+    ``(k' x 8) @ (8 x hidden)`` gemm per center, so every gemm has
+    ``k' = ceil(k/d)`` rows whatever the block size.  A block leaves only
+    its neighbor mean, added along k' per center; no bit depends on its size.
     """
     if len(layers) != 2:
         raise ValueError(f"correlate_at runs a two-layer filter, got {len(layers)} layers")
@@ -246,8 +251,9 @@ def correlate_at(
     hidden = W0.shape[0]
     mean = np.empty((neighbors.shape[0], hidden))
     for rows in chunks._point_chunks(neighbors.shape[0], 16 * neighbors.shape[1] * hidden):
-        h = inv[rows] @ W0[:, :8].T
-        h += b0 if point is None else point[neighbors[rows]]
+        h = np.empty((neighbors.shape[1], rows.stop - rows.start, hidden))
+        np.matmul(inv[rows], W0[:, :8].T, out=h.transpose(1, 0, 2))
+        h += b0 if point is None else np.take(point, neighbors[rows].T, axis=0)
         np.maximum(h, 0.0, out=h)
-        mean[rows] = h.mean(axis=1)
+        mean[rows] = h.mean(axis=0)
     return mean @ W1.T + b1

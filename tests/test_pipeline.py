@@ -1,12 +1,16 @@
 """End-to-end pipelines: invariance, matching, toy data, and the trained head."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import rotalith
 import rotalith.chunks as chunks
 import rotalith.harmonics as sh
 import rotalith.pipeline as pipeline_module
@@ -206,6 +210,35 @@ def test_forward_runs_the_pass_of_the_config_type(cfg, forward_of):
 def test_forward_rejects_other_config_types(cfg):
     with pytest.raises(TypeError, match="unsupported config type"):
         forward(blob_cloud(200, 2), {}, cfg)
+
+
+# the sha256 of forward's outputs on a sparse cloud and two dense bandwidths
+_FORWARD_DIGEST = """
+import hashlib
+import numpy as np
+from rotalith.pipeline import PrinConfig, SprinConfig, blob_cloud, forward, init_weights
+digest = hashlib.sha256()
+for cfg, n in ((SprinConfig(), 600), (PrinConfig(8, 0.1), 3000), (PrinConfig(16, 0.1), 3000)):
+    for out in forward(blob_cloud(n, 3), init_weights(cfg, 1), cfg):
+        digest.update(np.ascontiguousarray(out).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_forward_bitwise_equal_under_one_and_two_blas_threads():
+    # the BLAS thread count is fixed at import, so each count runs in its own
+    # process; correlate_at's per-center gemms write into strided block views
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rotalith.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _FORWARD_DIGEST], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
 
 
 @pytest.mark.parametrize(

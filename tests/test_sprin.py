@@ -176,8 +176,8 @@ def test_knn_table_tie_cases_tie_at_the_kth_neighbor():
 @pytest.mark.parametrize("rows", [1, 7])  # rows per chunk at most
 def test_knn_table_chunking(monkeypatch, rows):
     source, centers = _cloud(25, 300), _cloud(26, 50)  # 50 is not a multiple of 7
-    # a center's row holds 8 bytes per source point
-    monkeypatch.setattr(chunks, "_LOOP_CHUNK_BYTES", rows * 8 * len(source))
+    # a center's row holds 16 bytes per source point: its distances and a temporary
+    monkeypatch.setattr(chunks, "_CHUNK_BYTES", rows * 16 * len(source))
     sizes = []
     split = chunks._point_chunks
 
@@ -193,8 +193,8 @@ def test_knn_table_chunking(monkeypatch, rows):
 
 
 def test_knn_table_memory_within_chunk_budget():
-    # a chunk holds its squared distances and one per-axis temporary, never
-    # a (rows, N, 3) difference tensor
+    # a chunk's squared distances and one per-axis temporary fill one budget
+    # together; never a (rows, N, 3) difference tensor
     pts = pipeline.blob_cloud(2048, 5)
     tracemalloc.start()
     try:
@@ -202,7 +202,7 @@ def test_knn_table_memory_within_chunk_budget():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - table.nbytes <= 3 * chunks._LOOP_CHUNK_BYTES  # 12 MiB
+    assert peak - table.nbytes <= 2 * chunks._CHUNK_BYTES  # 2 MiB
 
 
 def test_knn_table_errors():
@@ -787,7 +787,7 @@ def _block_sizes(monkeypatch, budget, run):
 
     def spy(n, row_bytes, budget=None):
         parts = split(n, row_bytes, budget)
-        if budget is None:  # the kNN distance rows take the loop budget
+        if budget is None:  # every sparse split: kNN rows, invariants, layers
             sizes.append([c.stop - c.start for c in parts])
         return parts
 
@@ -837,11 +837,13 @@ def test_sprin_forward_blocks_bitwise_equal_to_one_block(monkeypatch):
     weights = pipeline.init_weights(cfg, 2)
     run = lambda: pipeline.sprin_forward(pts, weights, cfg)  # noqa: E731
     ref, sizes = _block_sizes(monkeypatch, 1 << 40, run)
-    # one block per invariant table (8 groups) and per layer (13)
-    assert len(sizes) == 21 and all(len(blocks) == 1 for blocks in sizes)
+    # one block per distance pass (4), invariant table (8 groups) and layer (13)
+    assert len(sizes) == 25 and all(len(blocks) == 1 for blocks in sizes)
     for budget in (1, 50_000):
         got, sizes = _block_sizes(monkeypatch, budget, run)
-        assert len(sizes) == 21 and sum(map(len, sizes)) > 21
+        assert len(sizes) == 25 and sum(map(len, sizes)) > 25
+        if budget == 1:  # the 4 distance passes run first, one center per chunk
+            assert all(set(blocks) == {1} for blocks in sizes[:4])
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
 
