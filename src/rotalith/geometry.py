@@ -27,6 +27,9 @@ TWO_PI = 2.0 * np.pi
 # sin(beta) below this means the ZYZ parametrization is at its singular set
 GIMBAL_EPS = 1e-9
 
+# validate_rotation rejects |R^T R - I| or |det R - 1| above this
+ROTATION_TOL = 1e-10
+
 # cart_to_spherical clamps norms up to 1 + this to the unit sphere and rejects larger ones
 _BALL_TOL = 1e-9
 
@@ -73,17 +76,17 @@ def rot_y(angle) -> np.ndarray:
     return out
 
 
-def validate_rotation(R: np.ndarray, tol: float = 1e-10) -> None:
+def validate_rotation(R: np.ndarray) -> None:
     """Raise :class:`InvalidRotationError` unless R is a proper rotation."""
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise InvalidRotationError(f"expected trailing shape (3, 3), got {R.shape}")
     eye = np.eye(3)
     gram_dev = np.abs(np.swapaxes(R, -1, -2) @ R - eye).max()
-    if gram_dev > tol:
+    if gram_dev > ROTATION_TOL:
         raise InvalidRotationError(f"matrix is not orthonormal: |R^T R - I| = {gram_dev:.3e}")
     det_dev = np.abs(np.linalg.det(R) - 1.0).max()
-    if det_dev > tol:
+    if det_dev > ROTATION_TOL:
         raise InvalidRotationError(f"matrix is not proper: |det R - 1| = {det_dev:.3e}")
 
 

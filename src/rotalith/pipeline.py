@@ -212,11 +212,15 @@ def _mlp(weights: dict, prefix: str) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _head_apply(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> np.ndarray:
-    """FC head: rectifier after every layer, including the last."""
-    for W, b in layers:
+    """The library's one MLP rule: a rectifier between layers, the last layer
+    linear.  Every layer after the first reads the rectified output of the
+    one before; the result is the last layer's affine output, so no output
+    column is clipped to zero.  ``x`` itself is not modified."""
+    for j, (W, b) in enumerate(layers):
+        if j:
+            np.maximum(x, 0.0, out=x)
         x = x @ W.T
         x += b
-        np.maximum(x, 0.0, out=x)
     return x
 
 
@@ -546,6 +550,7 @@ class TrainedHead:
 
 
 def _head_forward(params, X):
+    """:func:`_head_apply` keeping every layer's activation, for the gradient."""
     acts = [X]
     h = X
     # overflow here is reported as a divergence error by the caller
@@ -621,7 +626,7 @@ def train_head(
 
 def head_predict(head: TrainedHead, feats: np.ndarray) -> np.ndarray:
     X = (np.asarray(feats, dtype=float) - head.mean) / head.std
-    return np.argmax(_head_forward(head.params, X)[-1], axis=1)
+    return np.argmax(_head_apply(head.params, X), axis=1)
 
 
 # ---------------------------------------------------------------------------

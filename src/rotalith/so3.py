@@ -14,8 +14,8 @@ Filters are constrained to be constant along gamma, which makes them exactly
 functions on the sphere evaluated at the rotated north pole
 (``psi_T(R) = psi_s2(R @ n)``).  Two consequences shape this module:
 
-* outputs are constant along the radial axis (asserted by the brute-force
-  path), so every correlation returns a ``(2B, 2B, C_out)`` :class:`S2Signal`;
+* outputs are constant along the radial axis, so every correlation returns
+  a ``(2B, 2B, C_out)`` :class:`S2Signal`;
 * only the zonal part of the filter survives, so the spectral path reduces to
   a per-degree product: ``out_lm = g_lm * psi_l0 / sqrt(4*pi*(2l+1))`` where
   ``g`` is the gamma-averaged signal.
@@ -127,10 +127,11 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     The gamma integral is the mean of the signal over shifted gamma
     indices; the group integral is the weighted sum of
     ``filter_eval(psi, R^-1 T(p)) * gbar(R)`` over all grid rotations.
-    Radial constancy of the output is asserted through the filter arguments:
-    ``(R^-1 T(p)) @ n`` must be identical for every radial index of p, which
-    is exactly the gamma-constancy constraint at work, so the output is the
-    ``(2B, 2B, C_out)`` sphere signal shared by every radial bin.
+    The filter sees only ``(R^-1 T(p)) @ n = R^T @ (T(p) @ n)``, and
+    ``T(p) @ n`` is the grid direction of p (:func:`harmonics.grid_dirs`)
+    whatever its radial index: that is the gamma-constancy constraint at
+    work, so the output is the ``(2B, 2B, C_out)`` sphere signal shared by
+    every radial bin.
     """
     B = f.bandwidth
     if psi.bandwidth != B:
@@ -150,23 +151,7 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     g_per_rot = np.repeat(gbar.reshape(n * n, 1, c_in), n, axis=1).reshape(-1, c_in)
     gw = g_per_rot * w[:, None]
 
-    ai = sh.alpha_nodes(B)
-    bj = sh.beta_nodes(B)
-    A, Bb = np.meshgrid(ai, bj, indexing="ij")
-
-    # the filter only ever sees (R^-1 T(p)) @ n = R^T @ (T(p) @ n); check that
-    # the radial coordinate of p drops out of that argument for every slice
-    u0 = euler_to_matrix(A, Bb, 0.0)[..., :, 2]
-    for k in (0, B, 2 * B - 1):
-        uk = euler_to_matrix(A, Bb, 2.0 * np.pi * sh.h_nodes(B)[k])[..., :, 2]
-        spread = np.abs(uk - u0).max()
-        if spread > 1e-10:
-            raise AssertionError(
-                f"filter argument varies along the radial axis (spread {spread:.3e}); "
-                "output would not be radially constant"
-            )
-
-    U = u0.reshape(-1, 3)
+    U = sh.grid_dirs(B)  # T(p) @ n for p in any radial bin
     out_dir = np.empty((n * n, c_out))
     # per direction: its rotated filter arguments and their filter values
     row_bytes = 8 * Rs.shape[0] * max(3, c_out * c_in)

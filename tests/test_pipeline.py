@@ -315,15 +315,38 @@ def test_weight_errors_come_before_any_work(monkeypatch, cfg, weights_cfg, edits
 # ---------------------------------------------------------------------------
 
 
-def test_prin_zero_final_fc_gives_rectified_bias():
-    cfg = PrinConfig(bandwidth=4)
+@pytest.mark.parametrize(
+    "cfg, head",
+    [
+        (PrinConfig(bandwidth=4), "pp"),
+        (PrinConfig(bandwidth=4), "gl"),
+        (small_sprin_config(), "cls"),
+        (small_sprin_config(), "seg"),
+    ],
+    ids=["pp", "gl", "cls", "seg"],
+)
+def test_zero_last_layer_gives_its_bias(cfg, head):
+    # every head ends linear: a zero last layer outputs its bias, negative entries included
     w = init_weights(cfg, 0)
-    bias = np.linspace(-1.0, 1.0, 50)
-    w["pp_w1"] = np.zeros_like(w["pp_w1"])
-    w["pp_b1"] = bias.copy()
-    per_point, _ = prin_forward(blob_cloud(256, 1), w, cfg)
-    expected = np.maximum(bias, 0.0)
-    assert np.abs(per_point - expected).max() < 1e-12
+    last = len(_mlp(w, head)) - 1
+    bias = np.linspace(-1.0, 1.0, w[f"{head}_b{last}"].shape[0])
+    w[f"{head}_w{last}"] = np.zeros_like(w[f"{head}_w{last}"])
+    w[f"{head}_b{last}"] = bias.copy()
+    per_point, global_feat = forward(blob_cloud(256, 1), w, cfg)
+    out = per_point if head in ("pp", "seg") else global_feat[None]
+    assert np.array_equal(out, np.broadcast_to(bias, out.shape))
+
+
+def test_no_output_column_is_constant_across_clouds():
+    clouds = [blob_cloud(512, 1), blob_cloud(512, 2)]
+    clouds += [cloud.points for cloud in toy_synth(n_per_class=1, n_points=512)]
+    for cfg in (SprinConfig(), PrinConfig(8, 0.1)):
+        w = init_weights(cfg, 0)
+        outs = [forward(pts, w, cfg) for pts in clouds]
+        per_point = np.concatenate([pp for pp, _ in outs])
+        global_feat = np.stack([g for _, g in outs])
+        assert not (per_point == per_point[0]).all(axis=0).any()
+        assert not (global_feat == global_feat[0]).all(axis=0).any()
 
 
 def test_prin_grid_z_invariance_exact():
@@ -730,6 +753,19 @@ def test_head_predict_shapes():
     y = rng.integers(0, 4, 30)
     head = train_head(X, y, epochs=5, lr=0.1, seed=0)
     assert head_predict(head, X).shape == (30,)
+
+
+@pytest.mark.parametrize("hidden", [(), (32,), (16, 8)], ids=["0", "32", "16-8"])
+def test_head_apply_is_the_trained_heads_forward(hidden):
+    # inference and the gradient's forward run one MLP rule, bit for bit
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((60, 5))
+    y = rng.integers(0, 3, 60)
+    head = train_head(X, y, hidden=hidden, epochs=20, lr=0.2, seed=1)
+    Z = (X - head.mean) / head.std
+    logits = pipeline_module._head_forward(head.params, Z)[-1]
+    assert np.array_equal(_head_apply(head.params, Z), logits)
+    assert np.array_equal(head_predict(head, X), np.argmax(logits, axis=1))
 
 
 @pytest.mark.slow
