@@ -31,12 +31,11 @@ from .so3 import (
     S2Signal,
     SphericalFilter,
     equivariance_report,
-    filter_eval,
     gamma_average,
     rotate_grid,
     svc_bruteforce,
+    svc_coeffs,
     svc_spectral,
-    svc_sphere,
 )
 from .resample import bilinear_sample, trilinear_sample
 from .sprin import (

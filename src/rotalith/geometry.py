@@ -81,6 +81,8 @@ def validate_rotation(R: np.ndarray) -> None:
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise InvalidRotationError(f"expected trailing shape (3, 3), got {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise InvalidRotationError("matrix has non-finite entries")
     eye = np.eye(3)
     gram_dev = np.abs(np.swapaxes(R, -1, -2) @ R - eye).max()
     if gram_dev > ROTATION_TOL:

@@ -16,10 +16,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import chunks
+from . import harmonics as sh
 from .errors import InputFormatError, NumericError
 from .geometry import cart_to_spherical, random_rotation, rot_z
 from .resample import bilinear_sample
-from .so3 import gamma_average, svc_sphere
+from .so3 import S2Signal, gamma_average, svc_coeffs
 from .sprin import correlate_at, farthest_point_sampling, invariant_table, knn_table
 from .voxelize import SamplingConfig, _cloud_array, normalize_cloud
 
@@ -241,12 +242,15 @@ def prin_forward(
     """Dense path: voxelize, correlate, re-sample at the input points.
 
     Correlation outputs are constant along the radial axis, so activations
-    are carried as ``(2B, 2B, C)`` sphere signals: the voxel grid is averaged
-    over its radial bins once by :func:`~rotalith.so3.gamma_average`.  The
-    per-point head's first layer is affine and the bilinear weights sum to
-    1, so it runs once per sphere cell, before the read-out; each chunk of
-    rows is then read by bilinear interpolation and fed to the rest of the
-    head.
+    are carried as ``(2B, 2B, C)`` sphere grids: the voxel grid is averaged
+    over its radial bins once by :func:`~rotalith.so3.gamma_average`.  Each
+    layer analyzes its grid, applies :func:`~rotalith.so3.svc_coeffs` to the
+    coefficients and synthesizes the output on the grid, where the next
+    layer rectifies it; the transforms are this function's, so it chooses
+    the grids.  The per-point head's first layer is affine and the bilinear
+    weights sum to 1, so it runs once per sphere cell, before the read-out;
+    each chunk of rows is then read by bilinear interpolation and fed to the
+    rest of the head.
 
     Returns ``(per_point (N, PRIN_FC_WIDTHS[-1]), global (PRIN_FC_WIDTHS[-1],))``.
     The cloud must already be normalized into the unit ball.  ``weights``
@@ -260,13 +264,14 @@ def prin_forward(
     pp, gl = _mlp(w, "pp"), _mlp(w, "gl")
     # one spherical conversion serves the voxelizer and the read-out
     alpha, beta, h = cart_to_spherical(points)
-    act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode)))
+    act = gamma_average(voxelize(alpha, beta, h, B, SamplingConfig(cfg.xi, cfg.mode))).data
     for li in range(len(PRIN_CHANNELS)):
-        act = svc_sphere(act, w[f"svc{li}"])
-        if li != len(PRIN_CHANNELS) - 1:
-            np.maximum(act.data, 0.0, out=act.data)
+        if li:
+            np.maximum(act, 0.0, out=act)
+        # transforms through the module perfbench's tracer rebinds; S2Signal rejects non-finite output
+        act = S2Signal(B, sh.sh_synthesis(svc_coeffs(sh.sh_analysis(act, B), w[f"svc{li}"]), B)).data
     (W0, b0), *rest = pp
-    first = act.data.reshape(-1, PRIN_CHANNELS[-1]) @ W0.T
+    first = act.reshape(-1, PRIN_CHANNELS[-1]) @ W0.T
     first += b0
     first = first.reshape(2 * B, 2 * B, -1)
     # read-out and the rest of the head per chunk of rows, each chunk within
@@ -276,7 +281,7 @@ def prin_forward(
         h = bilinear_sample(first, B, alpha[chunk], beta[chunk])
         np.maximum(h, 0.0, out=h)
         per_point[chunk] = _head_apply(rest, h)
-    global_feat = _head_apply(gl, act.data.max(axis=(0, 1)))
+    global_feat = _head_apply(gl, act.max(axis=(0, 1)))
     return per_point, global_feat
 
 

@@ -20,11 +20,12 @@ functions on the sphere evaluated at the rotated north pole
   a per-degree product: ``out_lm = g_lm * psi_l0 / sqrt(4*pi*(2l+1))`` where
   ``g`` is the gamma-averaged signal.
 
-:func:`svc_sphere` is the one spectral kernel: it maps a gamma-averaged
-``(2B, 2B, C_in)`` sphere signal and the zonal rows ``psi_l0`` to the output,
-so layers chain on the sphere.  :func:`svc_spectral` applies it to a ball grid.
-:func:`svc_bruteforce` never forms coefficients; it sums the integrand over
-the full Euler grid and serves as the independent oracle for
+:func:`svc_coeffs` is the one spectral kernel: it maps the ``(B^2, C_in)``
+SH coefficients of a gamma-averaged signal and the zonal rows ``psi_l0`` to
+the ``(B^2, C_out)`` output coefficients, so callers choose the grids they
+analyze from and synthesize to.  :func:`svc_spectral` applies it to a ball
+grid.  :func:`svc_bruteforce` never forms coefficients; it sums the
+integrand over the full Euler grid and serves as the independent oracle for
 :func:`svc_spectral`.
 """
 
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import chunks
 from . import harmonics as sh
-from .geometry import euler_to_matrix
+from .geometry import euler_to_matrix, validate_rotation
 from .voxelize import SphericalGrid
 
 
@@ -89,19 +90,6 @@ def gamma_average(grid: SphericalGrid) -> S2Signal:
     return S2Signal(grid.bandwidth, grid.data.mean(axis=2))
 
 
-def filter_eval(psi: SphericalFilter, R: np.ndarray) -> np.ndarray:
-    """Evaluate the group filter at rotation(s) R: ``psi_s2(R @ n)``.
-
-    Evaluated exactly from the coefficients; returns shape
-    ``(..., C_out, C_in)``.
-    """
-    R = np.asarray(R, dtype=float)
-    dirs = R[..., :, 2]  # R @ north pole is the third column
-    lead = dirs.shape[:-1]
-    vals = sh.sh_eval(psi.coeffs, dirs.reshape(-1, 3))
-    return vals.reshape(lead + vals.shape[1:])
-
-
 @lru_cache(maxsize=None)
 def _euler_grid_rotations(B: int) -> np.ndarray:
     """All (2B)^3 grid rotations, shape (2B, 2B, 2B, 3, 3)."""
@@ -126,8 +114,8 @@ def svc_bruteforce(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
 
     The gamma integral is the mean of the signal over shifted gamma
     indices; the group integral is the weighted sum of
-    ``filter_eval(psi, R^-1 T(p)) * gbar(R)`` over all grid rotations.
-    The filter sees only ``(R^-1 T(p)) @ n = R^T @ (T(p) @ n)``, and
+    ``psi_T(R^-1 T(p)) * gbar(R)`` over all grid rotations.  The filter
+    sees only ``(R^-1 T(p)) @ n = R^T @ (T(p) @ n)``, and
     ``T(p) @ n`` is the grid direction of p (:func:`harmonics.grid_dirs`)
     whatever its radial index: that is the gamma-constancy constraint at
     work, so the output is the ``(2B, 2B, C_out)`` sphere signal shared by
@@ -170,14 +158,20 @@ def _zonal_rows(psi: SphericalFilter, B: int) -> np.ndarray:
     return psi.coeffs[[sh.coeff_index(l, 0) for l in range(B)]]
 
 
-def _svc_output_coeffs(g: S2Signal, zonal: np.ndarray) -> np.ndarray:
-    B = g.bandwidth
-    if zonal.ndim != 3 or len(zonal) != B:
-        raise ValueError(f"zonal rows {zonal.shape} are not (B, C_out, C_in) for bandwidth {B}")
-    if zonal.shape[2] != g.channels:
-        raise ValueError(f"channel mismatch: signal C={g.channels}, filter C_in={zonal.shape[2]}")
-    g_hat = sh.sh_analysis(g.data, B)  # (B^2, C_in)
-    out = np.empty((g_hat.shape[0], zonal.shape[1]))
+def svc_coeffs(g_hat: np.ndarray, zonal: np.ndarray) -> np.ndarray:
+    """Voxel correlation in coefficient space: the per-degree product.
+
+    ``g_hat`` holds the B^2 SH coefficients ``(B^2, C_in)`` of a
+    gamma-averaged signal, ``zonal`` the filter's zonal rows ``psi_l0``,
+    ``(B, C_out, C_in)`` (non-zonal components integrate out); the result
+    is the output's ``(B^2, C_out)`` coefficients.
+    """
+    n = len(g_hat)
+    if zonal.ndim != 3 or len(zonal) ** 2 != n:
+        raise ValueError(f"zonal rows {zonal.shape} are not (B, C_out, C_in) for B^2 = {n} coefficients")
+    if zonal.shape[2] != g_hat.shape[1]:
+        raise ValueError(f"channel mismatch: signal C={g_hat.shape[1]}, filter C_in={zonal.shape[2]}")
+    out = np.empty((n, zonal.shape[1]))
     # out_lm[c_out] = sum_cin g_lm[cin] * psi_l0[c_out, cin] / sqrt(4 pi (2l + 1))
     for l, psi_l0 in enumerate(zonal):
         rows = slice(l * l, (l + 1) * (l + 1))
@@ -185,23 +179,16 @@ def _svc_output_coeffs(g: S2Signal, zonal: np.ndarray) -> np.ndarray:
     return out
 
 
-def svc_sphere(g: S2Signal, zonal: np.ndarray) -> S2Signal:
-    """Voxel correlation of a gamma-averaged signal, kept on the sphere.
-
-    ``g`` is the ``(2B, 2B, C_in)`` gamma average of the input, ``zonal``
-    the filter's zonal rows ``psi_l0``, ``(B, C_out, C_in)`` (non-zonal
-    components integrate out); the result is ``(2B, 2B, C_out)``.
-    """
-    return S2Signal(g.bandwidth, sh.sh_synthesis(_svc_output_coeffs(g, zonal), g.bandwidth))
-
-
 def svc_spectral(f: SphericalGrid, psi: SphericalFilter) -> S2Signal:
     """Voxel correlation through harmonic analysis and per-degree products.
 
-    Same contract as :func:`svc_bruteforce`: the :func:`svc_sphere` output of
-    the gamma-averaged ``f`` and the zonal rows of ``psi``.
+    Same contract as :func:`svc_bruteforce`: :func:`svc_coeffs` on the
+    coefficients of the gamma-averaged ``f`` and the zonal rows of ``psi``,
+    synthesized on the sphere grid.
     """
-    return svc_sphere(gamma_average(f), _zonal_rows(psi, f.bandwidth))
+    B = f.bandwidth
+    g_hat = sh.sh_analysis(gamma_average(f).data, B)
+    return S2Signal(B, sh.sh_synthesis(svc_coeffs(g_hat, _zonal_rows(psi, B)), B))
 
 
 def rotate_grid(f: SphericalGrid, Q: np.ndarray) -> SphericalGrid:
@@ -209,8 +196,10 @@ def rotate_grid(f: SphericalGrid, Q: np.ndarray) -> SphericalGrid:
 
     Each radial shell is analyzed on the sphere and re-synthesized at the
     back-rotated grid directions, which realizes ``(L_Q f)(x) = f(Q^-1 x)``
-    exactly for signals band-limited to degree <= B - 1.
+    exactly for signals band-limited to degree <= B - 1.  ``Q`` must be a
+    proper rotation (:class:`~rotalith.errors.InvalidRotationError`).
     """
+    validate_rotation(Q)
     B = f.bandwidth
     n = 2 * B
     shells = f.data.reshape(n, n, -1)  # radial bins and channels flattened
@@ -228,11 +217,12 @@ def equivariance_report(
     Compares the correlation of the exactly rotated input, read at the
     rotated grid directions, against the correlation of the original input at
     the original directions.  Returns max and mean absolute errors over the
-    grid; deterministic.
+    grid; deterministic.  ``Q`` must be a proper rotation.
     """
     B = f.bandwidth
-    out_hat_rot = _svc_output_coeffs(gamma_average(rotate_grid(f, Q)), _zonal_rows(psi, B))
-    out_hat = _svc_output_coeffs(gamma_average(f), _zonal_rows(psi, B))
+    zonal = _zonal_rows(psi, B)
+    out_hat_rot = svc_coeffs(sh.sh_analysis(gamma_average(rotate_grid(f, Q)).data, B), zonal)
+    out_hat = svc_coeffs(sh.sh_analysis(gamma_average(f).data, B), zonal)
     rotated = sh.grid_dirs(B) @ np.asarray(Q, dtype=float).T  # Q @ dir per row
     lhs = sh.sh_eval(out_hat_rot, rotated)  # [psi * L_Q f](Q p)
     rhs = sh.sh_synthesis(out_hat, B).reshape(lhs.shape)

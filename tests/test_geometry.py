@@ -16,6 +16,7 @@ from rotalith.geometry import (
     spherical_to_cart,
     tmap,
     tmap_inv,
+    validate_rotation,
 )
 
 
@@ -90,6 +91,17 @@ def test_matrix_to_euler_rejects_non_rotation():
         matrix_to_euler(np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(InvalidRotationError):
         matrix_to_euler(np.diag([1.0, -1.0, 1.0]))  # improper
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_validate_rotation_rejects_non_finite_entries(bad):
+    # NaN compares False with the tolerance, and a det of it warns: the
+    # finite check comes before the Gram and det checks
+    for R in (np.full((3, 3), bad), np.where(np.eye(3) == 1, bad, 0.0)):
+        with pytest.raises(InvalidRotationError, match="non-finite"):
+            validate_rotation(R)
+        with pytest.raises(InvalidRotationError, match="non-finite"):
+            matrix_to_euler(R)
 
 
 def test_euler_round_trip_haar():

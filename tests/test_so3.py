@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from rotalith import harmonics as sh
+from rotalith.errors import InvalidRotationError
 from rotalith.geometry import euler_to_matrix, random_rotation, rot_z
 from rotalith.so3 import (
     S2Signal,
     SphericalFilter,
     equivariance_report,
-    filter_eval,
     gamma_average,
     rotate_grid,
     svc_bruteforce,
+    svc_coeffs,
     svc_spectral,
-    svc_sphere,
 )
 from rotalith.voxelize import SphericalGrid, grid_shift_alpha
 
@@ -78,36 +78,8 @@ def test_gamma_average_conserves_weighted_mass():
 
 
 # ---------------------------------------------------------------------------
-# filter evaluation
+# filters
 # ---------------------------------------------------------------------------
-
-
-def test_filter_eval_constant_on_z_rotations():
-    psi = random_filter(4, 3)
-    base = filter_eval(psi, np.eye(3))
-    for theta in (0.3, 1.7, 5.0):
-        val = filter_eval(psi, rot_z(theta))
-        assert np.abs(val - base).max() == 0.0
-
-
-def test_filter_eval_constant_filter():
-    psi = constant_filter(4, 2.5)
-    R = random_rotation(0, num=50)
-    vals = filter_eval(psi, R)
-    assert np.abs(vals - 2.5).max() < 1e-12
-
-
-def test_filter_eval_degree_one_closed_form():
-    B = 4
-    coeffs = np.zeros((sh.n_coeffs(B - 1), 1, 1))
-    c10 = 1.3
-    coeffs[sh.coeff_index(1, 0), 0, 0] = c10
-    psi = SphericalFilter(B, coeffs=coeffs)
-    R = random_rotation(5, num=100)
-    # Y_10(dir) = sqrt(3/4pi) * z-component of R @ n
-    expected = c10 * np.sqrt(3.0 / (4 * np.pi)) * R[:, 2, 2]
-    vals = filter_eval(psi, R)[:, 0, 0]
-    assert np.abs(vals - expected).max() < 1e-10
 
 
 def test_filter_rejects_malformed_coefficients():
@@ -216,15 +188,23 @@ def test_svc_output_radially_constant():
     for i, j in ((0, 0), (3, 5), (7, 2)):
         for k in (0, B, n - 1):
             Tp = euler_to_matrix(ai[i], bj[j], 2.0 * np.pi * sh.h_nodes(B)[k])
-            vals = filter_eval(psi, np.swapaxes(Rs, 1, 2) @ Tp)[:, 0, 0]
+            # the group filter at R^-1 T(p) is psi_s2 at its third column
+            vals = sh.sh_eval(psi.coeffs, (np.swapaxes(Rs, 1, 2) @ Tp)[:, :, 2])[:, 0, 0]
             assert abs(np.sum(vals * w * gbar) - out.data[i, j, 0]) <= 1e-10
+
+
+def sphere_kernel(f, zonal):
+    """svc_coeffs between the analysis of the gamma average and synthesis."""
+    B = f.bandwidth
+    g_hat = sh.sh_analysis(gamma_average(f).data, B)
+    return S2Signal(B, sh.sh_synthesis(svc_coeffs(g_hat, zonal), B))
 
 
 def test_svc_spectral_is_sphere_kernel_of_gamma_average():
     B = 4
     f = band_limited_grid(B, 10, channels=3)
     psi = random_filter(B, 10, c_out=2, c_in=3)
-    kernel = svc_sphere(gamma_average(f), zonal_rows(psi))
+    kernel = sphere_kernel(f, zonal_rows(psi))
     assert kernel.data.shape == (2 * B, 2 * B, 2)
     assert np.array_equal(svc_spectral(f, psi).data, kernel.data)
 
@@ -233,9 +213,26 @@ def test_svc_sphere_rejects_non_finite_output():
     B = 4
     coeffs = random_filter(B, 11).coeffs.copy()
     coeffs[0, 0, 0] = np.inf
-    g = S2Signal(B, np.ones((2 * B, 2 * B, 1)))
+    f = SphericalGrid(B, np.ones((2 * B, 2 * B, 2 * B, 1)))
     with pytest.raises(ValueError, match="non-finite"):
-        svc_sphere(g, zonal_rows(SphericalFilter(B, coeffs=coeffs)))
+        svc_spectral(f, SphericalFilter(B, coeffs=coeffs))
+
+
+@pytest.mark.parametrize("l", [0, 1, 3])
+def test_svc_coeffs_is_a_per_degree_product(l):
+    # coefficients supported on degree l map to degree l, scaled by the
+    # zonal row psi_l0 and 1 / sqrt(4 pi (2l + 1))
+    B = 4
+    rng = np.random.default_rng(l)
+    g_hat = np.zeros((B * B, 3))
+    rows = slice(l * l, (l + 1) * (l + 1))
+    g_hat[rows] = rng.standard_normal((2 * l + 1, 3))
+    zonal = rng.standard_normal((B, 2, 3))
+    out = svc_coeffs(g_hat, zonal)
+    assert out.shape == (B * B, 2)
+    expected = np.zeros_like(out)
+    expected[rows] = g_hat[rows] @ zonal[l].T / np.sqrt(4 * np.pi * (2 * l + 1))
+    assert np.abs(out - expected).max() < 1e-15
 
 
 def test_svc_bandwidth_and_channel_mismatch():
@@ -244,16 +241,16 @@ def test_svc_bandwidth_and_channel_mismatch():
         svc_spectral(f, random_filter(8, 0))
     with pytest.raises(ValueError):
         svc_spectral(f, random_filter(4, 0, c_in=2))
-    g = S2Signal(4, np.zeros((8, 8, 1)))
-    with pytest.raises(ValueError, match="bandwidth"):
-        svc_sphere(g, zonal_rows(random_filter(8, 0)))
+    g_hat = np.zeros((16, 1))
+    with pytest.raises(ValueError, match=r"\(8, 1, 1\) .* B\^2 = 16"):
+        svc_coeffs(g_hat, zonal_rows(random_filter(8, 0)))
     with pytest.raises(ValueError, match="channel"):
-        svc_sphere(g, zonal_rows(random_filter(4, 0, c_in=2)))
+        svc_coeffs(g_hat, zonal_rows(random_filter(4, 0, c_in=2)))
 
 
 @pytest.mark.parametrize("L", [0, 2, 7])
 def test_svc_spectral_reads_only_the_zonal_rows(L):
-    # bitwise: the ball-grid API is svc_sphere on the filter's B zonal rows,
+    # bitwise: the ball-grid API is svc_coeffs on the filter's B zonal rows,
     # also for a filter of degree L whose rows past (L+1)^2 are zero, and
     # zeroing every other row changes nothing
     B = 8
@@ -264,7 +261,7 @@ def test_svc_spectral_reads_only_the_zonal_rows(L):
     zonal = zonal_rows(psi)
     assert zonal.shape == (B, 3, 2) and not zonal[L + 1 :].any()
     out = svc_spectral(f, psi).data
-    assert np.array_equal(out, svc_sphere(gamma_average(f), zonal).data)
+    assert np.array_equal(out, sphere_kernel(f, zonal).data)
     only_zonal = np.zeros_like(coeffs)
     only_zonal[[sh.coeff_index(l, 0) for l in range(B)]] = zonal
     assert np.array_equal(out, svc_spectral(f, SphericalFilter(B, coeffs=only_zonal)).data)
@@ -276,17 +273,16 @@ def test_svc_spectral_reads_only_the_zonal_rows(L):
         ((4, 1), "zonal rows"),
         ((4, 1, 1, 1), "zonal rows"),
         ((0, 1, 1), "zonal rows"),
-        ((3, 1, 1), "bandwidth 4"),
-        ((5, 1, 1), "bandwidth 4"),
-        ((16, 1, 1), "bandwidth 4"),
+        ((3, 1, 1), r"B\^2 = 16"),
+        ((5, 1, 1), r"B\^2 = 16"),
+        ((16, 1, 1), r"B\^2 = 16"),
         ((4, 1, 2), "channel"),
     ],
     ids=["rank-2", "rank-4", "no-rows", "below-B", "degree-B", "full-sh-rows", "c-in"],
 )
 def test_svc_sphere_rejects_malformed_zonal_rows(shape, match):
-    g = S2Signal(4, np.ones((8, 8, 1)))
     with pytest.raises(ValueError, match=match):
-        svc_sphere(g, np.ones(shape))
+        svc_coeffs(np.ones((16, 1)), np.ones(shape))
 
 
 def test_nonzonal_filter_components_do_not_contribute():
@@ -314,6 +310,18 @@ def test_rotate_grid_identity_and_composition():
     Q = random_rotation(4)
     fr = rotate_grid(rotate_grid(f, Q), Q.T)
     assert np.abs(fr.data - f.data).max() < 1e-8
+
+
+@pytest.mark.parametrize(
+    "Q", [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3), np.zeros((3, 3))], ids=["reflection", "2I", "zero"]
+)
+def test_rotate_grid_and_report_reject_non_rotations(Q):
+    B = 4
+    f = band_limited_grid(B, 1)
+    with pytest.raises(InvalidRotationError):
+        rotate_grid(f, Q)
+    with pytest.raises(InvalidRotationError):
+        equivariance_report(f, random_filter(B, 1), Q)
 
 
 def test_equivariance_report_identity():
