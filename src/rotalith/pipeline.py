@@ -167,19 +167,27 @@ def _weight_shapes(cfg) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _draw(rng, shape: tuple[int, ...]) -> np.ndarray:
+    """The one weight draw: normal with variance 2 / fan-in (the last axis),
+    or zeros for a bias ``(out,)``."""
+    if len(shape) == 1:
+        return np.zeros(shape)
+    return rng.standard_normal(shape) * np.sqrt(2.0 / shape[-1])
+
+
 def init_weights(cfg, seed: int) -> dict[str, np.ndarray]:
-    """Seeded scaled-normal initialization for every filter and head: normal
-    with variance 2 / fan-in (the last axis) for weights, zero biases.  Each
-    ``svc{i}`` keeps the zonal rows of a full ``(B^2, C_out, C_in)`` draw."""
+    """Seeded :func:`_draw` of every filter and head, in schema order.  Each
+    ``svc{i}`` draws degree l's ``2l+1`` SH rows in turn and keeps m = 0, so
+    its values and every later key are those of a full ``(B^2, C_out, C_in)`` draw."""
     rng = np.random.default_rng(seed)
     weights = {}
     for key, shape in _weight_shapes(cfg).items():
-        if key.startswith("svc"):  # coefficient (l, m=0) is row l(l+1)
-            l = np.arange(shape[0])
-            draw = rng.standard_normal((shape[0] ** 2,) + shape[1:])[l * (l + 1)]
+        if key.startswith("svc"):
+            w = weights[key] = np.empty(shape)
+            for l in range(shape[0]):  # degree l's block holds m = -l..l; keep m = 0
+                w[l] = _draw(rng, (2 * l + 1,) + shape[1:])[l]
         else:
-            draw = rng.standard_normal(shape) if len(shape) > 1 else np.zeros(shape)
-        weights[key] = draw * np.sqrt(2.0 / shape[-1])
+            weights[key] = _draw(rng, shape)
     return weights
 
 
@@ -554,29 +562,19 @@ class TrainedHead:
     std: np.ndarray
 
 
-def _head_forward(params, X):
-    """:func:`_head_apply` keeping every layer's activation, for the gradient."""
-    acts = [X]
-    h = X
-    # overflow here is reported as a divergence error by the caller
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, (W, b) in enumerate(params):
-            z = h @ W.T + b
-            h = np.maximum(z, 0.0) if i < len(params) - 1 else z
-            acts.append(h)
-    return acts
-
-
 def head_loss_and_grad(params, X: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and analytic gradients for a rectifier head.
 
     ``X`` is standardized features ``(N, D)``; ``y`` integer labels.  Returns
-    ``(loss, grads)`` with grads shaped like params.
+    ``(loss, grads)`` with grads shaped like params.  The forward pass is
+    :func:`_head_apply`: layer j's input is the rectified output of the first
+    j layers.
     """
     n = X.shape[0]
-    acts = _head_forward(params, X)
-    logits = acts[-1]
-    with np.errstate(invalid="ignore"):
+    # overflow here is reported as a divergence error by train_head
+    with np.errstate(over="ignore", invalid="ignore"):
+        acts = [X] + [np.maximum(_head_apply(params[:j], X), 0.0) for j in range(1, len(params))]
+        logits = _head_apply(params, X)
         shifted = logits - logits.max(axis=1, keepdims=True)
         expz = np.exp(shifted)
         prob = expz / expz.sum(axis=1, keepdims=True)
@@ -587,8 +585,7 @@ def head_loss_and_grad(params, X: np.ndarray, y: np.ndarray):
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(params)
     for i in range(len(params) - 1, -1, -1):
         W, _ = params[i]
-        inp = acts[i]
-        grads[i] = (delta.T @ inp, delta.sum(axis=0))
+        grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
             delta = (delta @ W) * (acts[i] > 0.0)
     return float(loss), grads
@@ -615,10 +612,7 @@ def train_head(
     X = (feats - mu) / sd
     rng = np.random.default_rng(seed)
     widths = (feats.shape[1],) + tuple(hidden) + (n_classes,)
-    params = [
-        (rng.standard_normal((o, i)) * np.sqrt(2.0 / i), np.zeros(o))
-        for i, o in zip(widths[:-1], widths[1:])
-    ]
+    params = [(_draw(rng, (o, i)), _draw(rng, (o,))) for i, o in zip(widths[:-1], widths[1:])]
     for epoch in range(epochs):
         loss, grads = head_loss_and_grad(params, X, labels)
         params = [(W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(params, grads)]

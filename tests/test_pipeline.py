@@ -59,12 +59,12 @@ def test_init_weights_deterministic_and_different_across_seeds():
     assert any(not np.array_equal(a[k], c[k]) for k in a)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("B", [4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("B", [2, 4, 8, 32])
 def test_init_weights_keeps_the_zonal_rows_of_the_full_draw(B, seed):
     # replay the draw as it was when svc{i} held all (B^2, C_out, C_in) SH
-    # coefficients: the same stream in schema order, every value kept bitwise
-    # (criterion 11 passes at seed 0 only for these values)
+    # coefficients, drawn whole: init_weights draws one degree at a time, and
+    # every value is kept bitwise (criterion 11 passes at seed 0 only for these)
     cfg = PrinConfig(bandwidth=B)
     rng = np.random.default_rng(seed)
     want = {}
@@ -80,6 +80,18 @@ def test_init_weights_keeps_the_zonal_rows_of_the_full_draw(B, seed):
     assert list(w) == list(want)
     for key in want:
         assert w[key].shape == want[key].shape and np.array_equal(w[key], want[key]), key
+
+
+def test_init_weights_b32_peak_memory():
+    # one degree's block at a time: the full draw peaked at 16.9 MiB here
+    cfg = PrinConfig(bandwidth=32)
+    tracemalloc.start()
+    try:
+        init_weights(cfg, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_init_weights_variance_matches_fan_in():
@@ -757,13 +769,33 @@ def test_head_predict_shapes():
 
 @pytest.mark.parametrize("hidden", [(), (32,), (16, 8)], ids=["0", "32", "16-8"])
 def test_head_apply_is_the_trained_heads_forward(hidden):
-    # inference and the gradient's forward run one MLP rule, bit for bit
+    # the gradient's forward is _head_apply: loss and grads equal, bit for bit,
+    # those of an explicit loop that keeps every layer's rectified activation
     rng = np.random.default_rng(6)
     X = rng.standard_normal((60, 5))
     y = rng.integers(0, 3, 60)
     head = train_head(X, y, hidden=hidden, epochs=20, lr=0.2, seed=1)
     Z = (X - head.mean) / head.std
-    logits = pipeline_module._head_forward(head.params, Z)[-1]
+    acts = [Z]
+    for i, (W, b) in enumerate(head.params):
+        z = acts[-1] @ W.T + b
+        acts.append(np.maximum(z, 0.0) if i < len(head.params) - 1 else z)
+    logits = acts[-1]
+    prob = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    want_loss = -np.mean(np.log(np.maximum(prob[np.arange(60), y], 1e-300)))
+    delta = prob.copy()
+    delta[np.arange(60), y] -= 1.0
+    delta /= 60
+    want = [None] * len(head.params)
+    for i in range(len(head.params) - 1, -1, -1):
+        want[i] = (delta.T @ acts[i], delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ head.params[i][0]) * (acts[i] > 0.0)
+    loss, grads = head_loss_and_grad(head.params, Z, y)
+    assert loss == float(want_loss)
+    for (gW, gb), (wW, wb) in zip(grads, want):
+        assert np.array_equal(gW, wW) and np.array_equal(gb, wb)
     assert np.array_equal(_head_apply(head.params, Z), logits)
     assert np.array_equal(head_predict(head, X), np.argmax(logits, axis=1))
 
