@@ -15,7 +15,6 @@ import math
 import os
 import struct
 from collections.abc import Iterator
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -47,21 +46,24 @@ def _label(token: str, where: str) -> int:
     return label
 
 
-def _text_lines(path, error: type[InputFormatError]) -> Iterator[str]:
-    """A UTF-8 file's lines, streamed; a byte that is not UTF-8 raises ``error`` naming its line."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            yield from fh
-            return
-        except UnicodeDecodeError:
-            pass
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = StringIO(data[: exc.start].decode("utf-8"), newline=None).read().count("\n") + 1
-        raise error(f"{path}:{line}: not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
-    raise error(f"{path}: not UTF-8 text")
+def _data_lines(path, error: type[InputFormatError]) -> Iterator[tuple[int, list[str]]]:
+    """A UTF-8 text file's data lines as ``(line number, fields)``, in one streamed pass.
+
+    ``#`` starts a comment, and lines with no fields are skipped.  Each line
+    is checked when it is reached, so a byte that is not UTF-8 raises
+    ``error`` naming its line only if no earlier line failed first.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:  # an escaped byte is U+DC80..U+DCFF
+                    byte = ord(line[exc.start]) & 0xFF
+                    raise error(f"{path}:{lineno}: not UTF-8 text (byte 0x{byte:02x})") from None
+            fields = line.split("#", 1)[0].split()
+            if fields:
+                yield lineno, fields
 
 
 def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
@@ -69,11 +71,7 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
     points: list[list[float]] = []
     labels: list[int] = []
     arity = None
-    for lineno, raw in enumerate(_text_lines(path, CloudFormatError), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _data_lines(path, CloudFormatError):
         if len(tokens) not in (3, 4):
             raise CloudFormatError(
                 f"{path}:{lineno}: expected 3 or 4 fields, got {len(tokens)}"
@@ -102,10 +100,8 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
 def read_labels(path) -> np.ndarray:
     """Parse a label file into ``(N,)`` int64 labels, one per data line."""
     labels = []
-    for lineno, raw in enumerate(_text_lines(path, InputFormatError), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            labels.append(_label(tokens[-1], f"{path}:{lineno}"))
+    for lineno, tokens in _data_lines(path, InputFormatError):
+        labels.append(_label(tokens[-1], f"{path}:{lineno}"))
     if not labels:
         raise InputFormatError(f"{path}: no labels")
     return np.asarray(labels, dtype=np.int64)

@@ -656,7 +656,9 @@ def equivariance_trial(
     step).  The sparse path runs :func:`small_sprin_config`, whose invariance
     is exact up to float accumulation; the dense path rotates the raw cloud
     (``xi=0.1``), so the haar numbers include the sampling error of the
-    voxelizer.
+    voxelizer.  ``max_abs_err`` and ``mean_abs_err`` are relative errors, not
+    absolute ones: the max and the mean over points of ``|rot - base| / |base|``,
+    with row norms (:func:`relative_deviation`).
     """
     if bandwidth < 1:
         raise InputFormatError(f"bandwidth (--bandwidth) must be >= 1, got {bandwidth}")

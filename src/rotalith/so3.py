@@ -57,10 +57,6 @@ class S2Signal:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("S2 data contains non-finite entries")
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass
 class SphericalFilter:

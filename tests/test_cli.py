@@ -723,6 +723,28 @@ def test_match_labels_not_utf8_exit_2_naming_the_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, message",
+    [
+        ("match", "archives must contain a 'features' tensor"),
+        ("bench", "unknown op 'foo'"),
+        ("knn", "dilation rate must be >= 1, got 0"),
+    ],
+)
+def test_rejected_arguments_exit_2_with_one_line(cloud_file, tmp_path, capsys, command, message):
+    archive = tmp_path / "x.rtlh"
+    write_archive(archive, {"x": np.eye(2)})
+    argv = {
+        "match": ("--a", str(archive), "--b", str(archive)),
+        "bench": ("--op", "foo", "--impl", "spectral"),
+        "knn": ("--in", str(cloud_file), "--k", "4", "--d", "0"),
+    }[command]
+    code, stdout, err = run_cli(capsys, command, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert err == f"rotalith: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv,flag",
     [
         (("--classes", "sphere,cube", "--epochs", "0"), "--epochs"),

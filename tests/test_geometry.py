@@ -1,5 +1,7 @@
 """Round trips and group identities for the coordinate machinery."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,11 @@ def test_matrix_to_euler_rejects_non_rotation():
         matrix_to_euler(np.diag([1.0, 1.0, 2.0]))
     with pytest.raises(InvalidRotationError):
         matrix_to_euler(np.diag([1.0, -1.0, 1.0]))  # improper
+
+
+def test_validate_rotation_rejects_a_shape_other_than_3x3():
+    with pytest.raises(InvalidRotationError, match=re.escape("expected trailing shape (3, 3), got (2, 2)")):
+        validate_rotation(np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -91,6 +91,36 @@ def test_labels_not_utf8_names_the_line(tmp_path):
         read_labels(path)
 
 
+@pytest.mark.parametrize("good_lines", [0, 3000], ids=["same-buffer", "later-buffer"])
+@pytest.mark.parametrize(
+    "reader, first, error, message",
+    [
+        (read_cloud, b"0 0 bad\n", CloudFormatError, ":1: non-numeric field"),
+        (read_labels, b"abc\n", InputFormatError, ":1: not a label ('abc')"),
+    ],
+    ids=["cloud", "labels"],
+)
+def test_first_bad_line_in_file_order_is_reported(tmp_path, reader, first, error, message, good_lines):
+    # a bad field on line 1 comes before a byte that is not UTF-8 further on,
+    # whether or not the two share a read buffer
+    path = tmp_path / "bad.txt"
+    path.write_bytes(first + b"0 0 0\n" * good_lines + b"0 0 0 # \xe9\n")
+    with pytest.raises(error, match=re.escape(f"{path}{message}")):
+        reader(path)
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [("1\nabc\n", ":2: not a label ('abc')"), ("# only\n  # comments\n\n", ": no labels")],
+    ids=["not-a-label", "only-comments"],
+)
+def test_labels_malformed_inputs(tmp_path, content, message):
+    path = tmp_path / "labels.txt"
+    path.write_text(content)
+    with pytest.raises(InputFormatError, match=re.escape(f"{path}{message}")):
+        read_labels(path)
+
+
 def test_cloud_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.xyz"
     path.write_text("0 0 0\n0 0 bad\n")
@@ -157,6 +187,25 @@ def test_archive_bad_version(tmp_path):
     path = tmp_path / "x.rtlh"
     path.write_bytes(b"RTLH" + struct.pack("<II", 9, 0))
     with pytest.raises(ArchiveFormatError, match="version"):
+        read_archive(path)
+
+
+_X = struct.pack("<I", 1) + b"x" + struct.pack("<BQf", 1, 1, 1.0)  # one tensor x = [1.0]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"RTL", "truncated while reading magic"),
+        (b"RTLH" + struct.pack("<I", 1), "truncated while reading header"),
+        (b"RTLH" + struct.pack("<II", 1, 2) + _X + _X, "duplicate tensor name 'x'"),
+    ],
+    ids=["short-magic", "short-header", "duplicate-name"],
+)
+def test_archive_malformed_headers(tmp_path, content, message):
+    path = tmp_path / "m.rtlh"
+    path.write_bytes(content)
+    with pytest.raises(ArchiveFormatError, match=re.escape(f"{path}: {message}")):
         read_archive(path)
 
 

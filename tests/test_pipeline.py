@@ -26,6 +26,7 @@ from rotalith.pipeline import (
     PrinConfig,
     SprinConfig,
     blob_cloud,
+    equivariance_trial,
     forward,
     head_loss_and_grad,
     head_predict,
@@ -35,6 +36,7 @@ from rotalith.pipeline import (
     relative_deviation,
     small_sprin_config,
     sprin_forward,
+    toy_protocol,
     toy_synth,
     train_head,
 )
@@ -609,6 +611,11 @@ def test_descriptor_rejects_all_but_a_non_empty_n_by_c_array(shape):
         Descriptor(np.ones(shape))
 
 
+def test_descriptor_rejects_non_finite_entries():
+    with pytest.raises(ValueError, match="^descriptor contains non-finite entries$"):
+        Descriptor(np.array([[0.0, np.nan]]))
+
+
 def _unchunked_match(a, b):
     d2 = np.einsum("ik,ik->i", a, a)[:, None] - 2.0 * a @ b.T + np.einsum("jk,jk->j", b, b)[None, :]
     return np.argmin(d2, axis=1)
@@ -684,9 +691,25 @@ def test_toy_protocol_rejects_one_cloud_per_class():
         toy_protocol(classes=("sphere", "cube"), n_per_class=1, n_points=128, epochs=1)
 
 
+@pytest.mark.parametrize(
+    "run, match",
+    [
+        (lambda: equivariance_trial("sprin", 0, rotation="x"), "rotation must be 'haar' or 'grid-z', got 'x'"),
+        (lambda: equivariance_trial("x", 0), "pipeline must be 'prin' or 'sprin', got 'x'"),
+        (lambda: toy_protocol(pipeline="x"), "pipeline must be 'prin' or 'sprin', got 'x'"),
+    ],
+    ids=["trial-rotation", "trial-pipeline", "protocol-pipeline"],
+)
+def test_protocols_reject_unknown_names(run, match):
+    with pytest.raises(InputFormatError, match=re.escape(match)):
+        run()
+
+
 def test_toy_synth_validation():
     with pytest.raises(InputFormatError):
         toy_synth(n_points=32)
+    with pytest.raises(InputFormatError, match=re.escape("n_per_class (--n) must be >= 1, got 0")):
+        toy_synth(n_per_class=0)
     with pytest.raises(InputFormatError):
         toy_synth(classes=("sphere", "torus"))
 

@@ -77,6 +77,22 @@ def test_gamma_average_conserves_weighted_mass():
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: S2Signal(4, np.zeros((8, 8))), r"S2 data must be \(2B, 2B, C\) for B=4, got \(8, 8\)"),
+        (lambda: S2Signal(4, np.zeros((8, 6, 1))), r"S2 data must be \(2B, 2B, C\) for B=4, got \(8, 6, 1\)"),
+        (lambda: SphericalGrid(2, np.zeros((4, 4, 4))), r"\(2B, 2B, 2B, C\) for B=2, got \(4, 4, 4\)"),
+        (lambda: SphericalGrid(2, np.zeros((4, 4, 2, 1))), r"\(2B, 2B, 2B, C\) for B=2, got \(4, 4, 2, 1\)"),
+        (lambda: SphericalGrid(2, np.full((4, 4, 4, 1), np.nan)), "^grid data contains non-finite entries$"),
+    ],
+    ids=["s2-rank", "s2-shape", "grid-rank", "grid-shape", "grid-nan"],
+)
+def test_signals_reject_malformed_data(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # filters
 # ---------------------------------------------------------------------------
@@ -237,10 +253,11 @@ def test_svc_coeffs_is_a_per_degree_product(l):
 
 def test_svc_bandwidth_and_channel_mismatch():
     f = band_limited_grid(4, 0)
-    with pytest.raises(ValueError):
-        svc_spectral(f, random_filter(8, 0))
-    with pytest.raises(ValueError):
-        svc_spectral(f, random_filter(4, 0, c_in=2))
+    for impl in (svc_spectral, svc_bruteforce):
+        with pytest.raises(ValueError, match="^bandwidth mismatch: signal B=4, filter B=8$"):
+            impl(f, random_filter(8, 0))
+        with pytest.raises(ValueError, match="^channel mismatch: signal C=1, filter C_in=2$"):
+            impl(f, random_filter(4, 0, c_in=2))
     g_hat = np.zeros((16, 1))
     with pytest.raises(ValueError, match=r"\(8, 1, 1\) .* B\^2 = 16"):
         svc_coeffs(g_hat, zonal_rows(random_filter(8, 0)))
