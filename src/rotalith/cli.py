@@ -18,6 +18,7 @@ from . import __version__
 from .errors import InputFormatError, NumericError
 from .io import read_archive, read_cloud, read_labels, write_archive
 from .pipeline import (
+    PIPELINES,
     PrinConfig,
     SprinConfig,
     Descriptor,
@@ -29,7 +30,7 @@ from .pipeline import (
 )
 from .so3 import SphericalFilter, svc_bruteforce, svc_spectral
 from .sprin import dilated_knn, farthest_point_sampling
-from .voxelize import SamplingConfig, SphericalGrid, _cloud_array, normalize_cloud, voxelize
+from .voxelize import MODES, SamplingConfig, SphericalGrid, _cloud_array, normalize_cloud, voxelize
 from . import harmonics as sh
 
 EXIT_OK = 0
@@ -46,6 +47,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _Given(argparse.Action):
+    """A flag that sets a library parameter: its value goes to ``args.given``
+    under the parameter's name, and a flag left out adds nothing there, so
+    the library's own default applies."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, default=argparse.SUPPRESS, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.given = {**getattr(namespace, "given", {}), self.dest: values}
+
+
 def _load_cloud(path, normalize: bool) -> np.ndarray:
     points, _ = read_cloud(path)
     return normalize_cloud(points) if normalize else _cloud_array(points)
@@ -53,7 +66,7 @@ def _load_cloud(path, normalize: bool) -> np.ndarray:
 
 def _cmd_voxelize(args) -> int:
     points = _load_cloud(args.infile, not args.no_normalize)
-    cfg = SamplingConfig(xi=args.xi, mode=args.mode)
+    cfg = SamplingConfig(**args.given)
     grid = voxelize(points, args.bandwidth, cfg)
     write_archive(args.out, {"grid": grid.data})
     if args.csv:
@@ -79,27 +92,15 @@ def _cmd_equiv_check(args) -> int:
     rows = ["trial,rotation,max_abs_err,mean_abs_err"]
     for t in range(args.trials):
         for rotation in ("grid-z", "haar"):
-            rep = equivariance_trial(
-                args.pipeline,
-                seed=args.seed + t,
-                rotation=rotation,
-                bandwidth=args.bandwidth,
-                n_points=args.points,
-            )
+            rep = equivariance_trial(seed=args.seed + t, rotation=rotation, **args.given)
             rows.append(f"{t},{rotation},{rep['max_abs_err']:.12e},{rep['mean_abs_err']:.12e}")
     print("\n".join(rows))
     return EXIT_OK
 
 
-def _build_config(args):
-    if args.pipeline == "prin":
-        return PrinConfig(bandwidth=args.bandwidth)
-    return SprinConfig()
-
-
 def _cmd_features(args) -> int:
     points = _load_cloud(args.infile, not args.no_normalize)
-    cfg = _build_config(args)
+    cfg = PrinConfig(**args.given) if args.pipeline == "prin" else SprinConfig()
     if args.weights:
         weights = read_archive(args.weights)
     else:
@@ -177,18 +178,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    classes = tuple(args.classes.split(","))
-    res = toy_protocol(
-        pipeline=args.pipeline,
-        classes=classes,
-        n_per_class=args.n,
-        n_points=args.points,
-        epochs=args.epochs,
-        lr=args.lr,
-        seed=args.seed,
-        bandwidth=args.bandwidth,
-        mode=args.mode,
-    )
+    res = toy_protocol(**args.given)
     print(f"nr_accuracy={res['nr_accuracy']:.4f}")
     print(f"ar_accuracy={res['ar_accuracy']:.4f}")
     print(f"gap={res['gap']:.4f}")
@@ -214,32 +204,33 @@ def _cmd_knn(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rotalith", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rotalith {__version__}")
+    parser.set_defaults(given={})
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("voxelize", help="sample a cloud into a spherical voxel grid")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--bandwidth", type=int, default=8)
-    p.add_argument("--xi", type=float, default=1.0 / 32.0)
-    p.add_argument("--mode", choices=("daas", "uniform"), default="daas")
+    p.add_argument("--bandwidth", type=int, default=PrinConfig.bandwidth)
+    p.add_argument("--xi", action=_Given, type=float)
+    p.add_argument("--mode", action=_Given, choices=MODES)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="also dump nonzero voxels as CSV")
     p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=_cmd_voxelize)
 
     p = sub.add_parser("equiv-check", help="per-point invariance audit as CSV")
-    p.add_argument("--pipeline", choices=("prin", "sprin"), required=True)
-    p.add_argument("--bandwidth", type=int, default=8)
+    p.add_argument("--pipeline", action=_Given, choices=PIPELINES, required=True)
+    p.add_argument("--bandwidth", action=_Given, type=int)
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", action=_Given, dest="n_points", metavar="POINTS", type=int)
     p.set_defaults(func=_cmd_equiv_check)
 
     p = sub.add_parser("features", help="extract invariant features to an archive")
-    p.add_argument("--pipeline", choices=("prin", "sprin"), required=True)
+    p.add_argument("--pipeline", choices=PIPELINES, required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--weights", default=None, help="weights archive; omitted = init from --seed")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bandwidth", type=int, default=8)
+    p.add_argument("--bandwidth", action=_Given, type=int)
     p.add_argument("--out", required=True)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--per-point", dest="mode_global", action="store_false", default=False)
@@ -262,15 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("toy", help="train-unrotated / test-rotated protocol")
-    p.add_argument("--classes", default="sphere,cube,cylinder")
-    p.add_argument("--n", type=int, default=100, help="clouds per class")
-    p.add_argument("--points", type=int, default=512)
-    p.add_argument("--pipeline", choices=("prin", "sprin"), default="sprin")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--bandwidth", type=int, default=8)
-    p.add_argument("--mode", choices=("daas", "uniform"), default="daas")
+    p.add_argument("--classes", action=_Given, type=lambda names: tuple(names.split(",")))
+    p.add_argument("--n", action=_Given, dest="n_per_class", metavar="N", type=int,
+                   help="clouds per class")
+    p.add_argument("--points", action=_Given, dest="n_points", metavar="POINTS", type=int)
+    p.add_argument("--pipeline", action=_Given, choices=PIPELINES)
+    p.add_argument("--epochs", action=_Given, type=int)
+    p.add_argument("--lr", action=_Given, type=float)
+    p.add_argument("--seed", action=_Given, type=int)
+    p.add_argument("--bandwidth", action=_Given, type=int)
+    p.add_argument("--mode", action=_Given, choices=MODES)
     p.set_defaults(func=_cmd_toy)
 
     p = sub.add_parser("fps", help="farthest point sampling debug utility")

@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import chunks
+from .geometry import spherical_to_cart
 
 
 def alpha_nodes(B: int) -> np.ndarray:
@@ -129,8 +130,7 @@ def sh_eval(coeffs: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 def grid_dirs(B: int) -> np.ndarray:
     """Unit vectors of the (alpha, beta) grid nodes, shape ``(4B^2, 3)``, alpha-major."""
     A, Bb = np.meshgrid(alpha_nodes(B), beta_nodes(B), indexing="ij")
-    sb = np.sin(Bb)
-    return np.stack([sb * np.cos(A), sb * np.sin(A), np.cos(Bb)], axis=-1).reshape(-1, 3)
+    return spherical_to_cart(A, Bb, 1.0).reshape(-1, 3)
 
 
 def _flat_layout(B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ Cloud files hold one point per line, ``x y z`` or ``x y z label``, with ``#``
 starting a comment.  Archives are little-endian throughout: magic ``RTLH``,
 u32 version (currently 1), u32 tensor count, then per tensor a u32 name
 length, the UTF-8 name, a u8 rank, rank u64 dims, and the float32 payload.
-Label files hold one integer label per line, the last field of the line,
-so a labeled cloud file is also a label file.  Text files and tensor names
+Label files hold one integer label per line, as the line's only field or
+after ``x y z``, so a labeled cloud file is also a label file.  Text files and tensor names
 are UTF-8.  Every malformed input maps to a structured error, never a crash.
 """
 
@@ -98,9 +98,15 @@ def read_cloud(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def read_labels(path) -> np.ndarray:
-    """Parse a label file into ``(N,)`` int64 labels, one per data line."""
+    """Parse a label file into ``(N,)`` int64 labels, one per data line.
+
+    A line holds ``label`` or ``x y z label``; any other field count raises
+    :class:`InputFormatError` naming the line.
+    """
     labels = []
     for lineno, tokens in _data_lines(path, InputFormatError):
+        if len(tokens) not in (1, 4):
+            raise InputFormatError(f"{path}:{lineno}: expected 1 or 4 fields, got {len(tokens)}")
         labels.append(_label(tokens[-1], f"{path}:{lineno}"))
     if not labels:
         raise InputFormatError(f"{path}: no labels")

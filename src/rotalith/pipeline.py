@@ -31,6 +31,7 @@ from .voxelize import _voxelize_spherical as voxelize
 
 PRIN_CHANNELS = (40, 40, 50)  # each dense correlation's output width
 PRIN_FC_WIDTHS = (50, 50)  # each layer of the dense per-point and global heads
+PIPELINES = ("prin", "sprin")  # the dense and the sparse path
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class PrinConfig:
     """Dense-path bandwidth and sampling (xi, mode); desk-scale defaults (bandwidth 8)."""
 
     bandwidth: int = 8
-    xi: float = 1.0 / 32.0
-    mode: str = "daas"
+    xi: float = SamplingConfig.xi
+    mode: str = SamplingConfig.mode
 
     def __post_init__(self):
         if self.bandwidth < 2:
@@ -643,11 +644,16 @@ def relative_deviation(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return float(rel.max()), float(rel.mean())
 
 
+def _check_pipeline(pipeline: str) -> None:
+    if pipeline not in PIPELINES:
+        raise InputFormatError(f"pipeline must be {' or '.join(map(repr, PIPELINES))}, got {pipeline!r}")
+
+
 def equivariance_trial(
     pipeline: str,
     seed: int,
     rotation: str = "haar",
-    bandwidth: int = 8,
+    bandwidth: int = PrinConfig.bandwidth,
     n_points: int | None = None,
 ) -> dict[str, float]:
     """Compare per-point features of a cloud and its rotated copy.
@@ -673,12 +679,11 @@ def equivariance_trial(
     else:
         raise InputFormatError(f"rotation must be 'haar' or 'grid-z', got {rotation!r}")
 
+    _check_pipeline(pipeline)
     if pipeline == "sprin":
         n, cfg = 192, small_sprin_config()
-    elif pipeline == "prin":
-        n, cfg = 20000, PrinConfig(bandwidth=bandwidth, xi=0.1)
     else:
-        raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
+        n, cfg = 20000, PrinConfig(bandwidth=bandwidth, xi=0.1)
     weights = init_weights(cfg, seed)
     cloud = blob_cloud(n if n_points is None else n_points, seed + 17)
     base, _ = forward(cloud, weights, cfg)
@@ -695,8 +700,8 @@ def toy_protocol(
     epochs: int = 300,
     lr: float = 0.5,
     seed: int = 7,
-    bandwidth: int = 8,
-    mode: str = "daas",
+    bandwidth: int = PrinConfig.bandwidth,
+    mode: str = PrinConfig.mode,
 ) -> dict[str, float]:
     """Train a head on unrotated features, evaluate on rotated test clouds.
 
@@ -705,8 +710,7 @@ def toy_protocol(
     from the frozen backbone, and reports accuracy with no rotation (NR) and
     under per-cloud Haar rotations (AR).
     """
-    if pipeline not in ("prin", "sprin"):
-        raise InputFormatError(f"pipeline must be 'prin' or 'sprin', got {pipeline!r}")
+    _check_pipeline(pipeline)
     if epochs < 1:
         raise InputFormatError(f"epochs (--epochs) must be >= 1, got {epochs}")
     if not 0.0 <= lr < np.inf:

@@ -38,6 +38,9 @@ from .errors import InputFormatError
 from .geometry import cart_to_spherical
 from .harmonics import beta_nodes
 
+MODES = ("daas", "uniform")  # the voxelizer's latitude-scaling modes
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Window width and latitude-scaling mode for the voxelizer."""
@@ -48,8 +51,8 @@ class SamplingConfig:
     def __post_init__(self):
         if not (np.isfinite(self.xi) and self.xi > 0.0):
             raise ValueError(f"xi must be positive and finite, got {self.xi}")
-        if self.mode not in ("daas", "uniform"):
-            raise ValueError(f"mode must be 'daas' or 'uniform', got {self.mode!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {self.mode!r}")
 
 
 @dataclass

@@ -571,6 +571,51 @@ def test_toy_divergence_exits_3(capsys):
     assert "numeric" in err
 
 
+@pytest.fixture()
+def recorded(monkeypatch):
+    """The keyword arguments each call of the toy and equiv-check entry points got."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(kwargs)
+        return {"nr_accuracy": 1.0, "ar_accuracy": 1.0, "gap": 0.0,
+                "max_abs_err": 0.0, "mean_abs_err": 0.0}
+
+    monkeypatch.setattr("rotalith.cli.toy_protocol", record)
+    monkeypatch.setattr("rotalith.cli.equivariance_trial", record)
+    return calls
+
+
+def test_toy_passes_only_the_flags_given(recorded, capsys):
+    # a flag left out is not passed, so toy_protocol's own default applies
+    assert run_cli(capsys, "toy")[0] == 0
+    assert run_cli(
+        capsys, "toy", "--n", "3", "--points", "96", "--classes", "sphere,cube", "--mode", "uniform"
+    )[0] == 0
+    assert recorded == [
+        {},
+        {"n_per_class": 3, "n_points": 96, "classes": ("sphere", "cube"), "mode": "uniform"},
+    ]
+
+
+def test_equiv_check_passes_only_the_flags_given(recorded, capsys):
+    assert run_cli(capsys, "equiv-check", "--pipeline", "prin", "--trials", "1")[0] == 0
+    assert recorded == [
+        {"seed": 0, "rotation": "grid-z", "pipeline": "prin"},
+        {"seed": 0, "rotation": "haar", "pipeline": "prin"},
+    ]
+
+
+@pytest.mark.parametrize("command", ["toy", "equiv-check"])
+def test_help_shows_the_flag_metavars(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--points POINTS" in out
+    assert ("--n N" in out) == (command == "toy")
+
+
 def test_seeded_commands_are_deterministic(cloud_file, tmp_path, capsys):
     outputs = []
     for _ in range(2):
@@ -668,6 +713,21 @@ def test_match_labels_outside_int64_exit_2(feature_archives, tmp_path, capsys, l
     assert code == 2
     assert stdout == ""
     assert f"{labels_a}:10: " in err and "Traceback" not in err
+
+
+def test_match_labels_of_an_unlabeled_cloud_exit_2(tmp_path, capsys):
+    # a 3-field line is a point, not a label: its z is not read as one
+    feats = tmp_path / "f.rtlh"
+    write_archive(feats, {"features": np.eye(2)})
+    cloud = tmp_path / "c.xyz"
+    cloud.write_text("0 0 0\n1 2 3\n")
+    code, stdout, err = run_cli(
+        capsys, "match", "--a", str(feats), "--b", str(feats),
+        "--labels-a", str(cloud), "--labels-b", str(cloud),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err == f"rotalith: {cloud}:1: expected 1 or 4 fields, got 3\n"
 
 
 @pytest.mark.parametrize(

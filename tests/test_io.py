@@ -111,8 +111,14 @@ def test_first_bad_line_in_file_order_is_reported(tmp_path, reader, first, error
 
 @pytest.mark.parametrize(
     "content, message",
-    [("1\nabc\n", ":2: not a label ('abc')"), ("# only\n  # comments\n\n", ": no labels")],
-    ids=["not-a-label", "only-comments"],
+    [
+        ("1\nabc\n", ":2: not a label ('abc')"),
+        ("# only\n  # comments\n\n", ": no labels"),
+        # a line holds 1 or 4 fields: an unlabeled cloud's z is not read as labels
+        ("0 0 0\n0.5 0 1.4\n1 2 3\n", ":1: expected 1 or 4 fields, got 3"),
+        ("1\n2 3\n", ":2: expected 1 or 4 fields, got 2"),
+    ],
+    ids=["not-a-label", "only-comments", "3-fields", "2-fields"],
 )
 def test_labels_malformed_inputs(tmp_path, content, message):
     path = tmp_path / "labels.txt"

@@ -225,7 +225,7 @@ def test_svc_spectral_is_sphere_kernel_of_gamma_average():
     assert np.array_equal(svc_spectral(f, psi).data, kernel.data)
 
 
-def test_svc_sphere_rejects_non_finite_output():
+def test_svc_spectral_rejects_non_finite_output():
     B = 4
     coeffs = random_filter(B, 11).coeffs.copy()
     coeffs[0, 0, 0] = np.inf
@@ -297,7 +297,7 @@ def test_svc_spectral_reads_only_the_zonal_rows(L):
     ],
     ids=["rank-2", "rank-4", "no-rows", "below-B", "degree-B", "full-sh-rows", "c-in"],
 )
-def test_svc_sphere_rejects_malformed_zonal_rows(shape, match):
+def test_svc_coeffs_rejects_malformed_zonal_rows(shape, match):
     with pytest.raises(ValueError, match=match):
         svc_coeffs(np.ones((16, 1)), np.ones(shape))
 
